@@ -54,7 +54,9 @@ use crate::index_graph::{row_any_dist_le, sorted_any_common, CoverIndexGraph};
 use crate::kreach::{BuildOptions, KReachIndex};
 use crate::vertex_cover::VertexCover;
 use crate::weights::PackedWeights;
-use kreach_graph::traversal::{bfs, khop_reachable_bidirectional, Direction};
+use kreach_graph::traversal::{
+    khop_reachable_bidirectional, Direction, LaneSweep, NeighborhoodExplorer, SWEEP_LANES,
+};
 use kreach_graph::versioned::{EdgeUpdate, VersionedAdjGraph};
 use kreach_graph::{DiGraph, GraphView, VertexId};
 use std::collections::BTreeSet;
@@ -202,6 +204,19 @@ pub struct DynamicKReach {
     edges_at_rebuild: usize,
     removals_since_rebuild: usize,
     stats: UpdateStats,
+    /// Reusable single-source BFS for row maintenance; grows with the graph.
+    explorer: NeighborhoodExplorer,
+    /// Scratch row collected before it is copied out at its exact length.
+    row_buf: Vec<(u32, u32)>,
+}
+
+/// The cover position of `v` in a vertex → position map, if covered.
+#[inline]
+fn covered(pos_of: &[u32], v: VertexId) -> Option<u32> {
+    match pos_of.get(v.index()) {
+        Some(&p) if p != NOT_COVERED => Some(p),
+        _ => None,
+    }
 }
 
 impl DynamicKReach {
@@ -230,6 +245,8 @@ impl DynamicKReach {
             edges_at_rebuild: 0,
             removals_since_rebuild: 0,
             stats: UpdateStats::default(),
+            explorer: NeighborhoodExplorer::new(),
+            row_buf: Vec::new(),
         };
         this.rebuild();
         this.stats = UpdateStats::default(); // the initial build is not a rebuild
@@ -310,6 +327,8 @@ impl DynamicKReach {
             edges_at_rebuild,
             removals_since_rebuild: 0,
             stats: UpdateStats::default(),
+            explorer: NeighborhoodExplorer::new(),
+            row_buf: Vec::new(),
         })
     }
 
@@ -359,10 +378,7 @@ impl DynamicKReach {
 
     #[inline]
     fn position(&self, v: VertexId) -> Option<u32> {
-        match self.pos_of.get(v.index()) {
-            Some(&p) if p != NOT_COVERED => Some(p),
-            _ => None,
-        }
+        covered(&self.pos_of, v)
     }
 
     /// True distance of the index edge between cover positions, if any
@@ -566,9 +582,11 @@ impl DynamicKReach {
         if u.index() >= self.graph.vertex_count() {
             return;
         }
-        let reach = bfs(&self.graph, u, Direction::Backward, Some(self.k - 1));
-        for (w, _) in reach.reached_with_distance() {
-            if let Some(p) = self.position(w) {
+        let reach = self
+            .explorer
+            .explore(&self.graph, u, self.k - 1, Direction::Backward);
+        for &(w, _) in reach {
+            if let Some(p) = covered(&self.pos_of, w) {
                 if Some(p) != skip && !pending.insert(p) {
                     self.stats.rows_coalesced += 1;
                 }
@@ -578,15 +596,21 @@ impl DynamicKReach {
 
     /// One forward k-hop BFS from `w`, keeping reached cover vertices
     /// (Algorithm 1, Lines 4–13) — the row of `w`, sorted by target position.
-    fn compute_row(&self, w: VertexId) -> Vec<(u32, u32)> {
-        let reach = bfs(&self.graph, w, Direction::Forward, Some(self.k));
-        let mut row: Vec<(u32, u32)> = reach
-            .reached_with_distance()
-            .filter(|&(v, _)| v != w)
-            .filter_map(|(v, d)| self.position(v).map(|p| (p, d)))
-            .collect();
+    /// The BFS runs in the reusable explorer, so only the row is allocated.
+    fn compute_row(&mut self, w: VertexId) -> Vec<(u32, u32)> {
+        let reach = self
+            .explorer
+            .explore(&self.graph, w, self.k, Direction::Forward);
+        let row = &mut self.row_buf;
+        row.clear();
+        row.extend(
+            reach
+                .iter()
+                .filter(|&&(v, _)| v != w)
+                .filter_map(|&(v, d)| covered(&self.pos_of, v).map(|p| (p, d))),
+        );
         row.sort_unstable_by_key(|&(p, _)| p);
-        row
+        row.to_vec()
     }
 
     /// Appends `w` to the cover: computes its row with one forward k-BFS and
@@ -600,12 +624,14 @@ impl DynamicKReach {
         self.members.push(w);
         self.pos_of[w.index()] = p;
         // Existing cover vertices that reach w gain the edge (them → w).
-        let back = bfs(&self.graph, w, Direction::Backward, Some(self.k));
-        for (x, d) in back.reached_with_distance() {
+        let back = self
+            .explorer
+            .explore(&self.graph, w, self.k, Direction::Backward);
+        for &(x, d) in back {
             if x == w {
                 continue;
             }
-            if let Some(px) = self.position(x) {
+            if let Some(px) = covered(&self.pos_of, x) {
                 self.rows[px as usize].push((p, d));
             }
         }
@@ -647,7 +673,15 @@ impl DynamicKReach {
         for (p, &v) in self.members.iter().enumerate() {
             self.pos_of[v.index()] = p as u32;
         }
-        self.rows = self.members.iter().map(|&w| self.compute_row(w)).collect();
+        // One lane pass per 64 members; each row is copied out at its exact
+        // length.
+        let mut lanes = LaneSweep::new();
+        let mut rows = Vec::with_capacity(self.members.len());
+        for pass in self.members.chunks(SWEEP_LANES) {
+            let swept = lanes.sweep(&self.graph, pass, self.k, &self.pos_of);
+            rows.extend(swept.iter().map(|row| row.to_vec()));
+        }
+        self.rows = rows;
         self.cover_at_rebuild = self.members.len();
         self.edges_at_rebuild = self.graph.edge_count();
         self.removals_since_rebuild = 0;

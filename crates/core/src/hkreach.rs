@@ -5,7 +5,7 @@ use crate::hop_cover::HopVertexCover;
 use crate::index_graph::CoverIndexGraph;
 use crate::stats::IndexStats;
 use crate::weights::PlainWeights;
-use kreach_graph::traversal::{bfs, Direction, NeighborhoodExplorer};
+use kreach_graph::traversal::{Direction, NeighborhoodExplorer};
 use kreach_graph::{GraphView, VertexId};
 use std::time::Instant;
 
@@ -50,32 +50,13 @@ impl HkReachIndex {
         let h = cover.h();
         assert!(2 * h < k, "(h,k)-reach requires h < k/2 (got h={h}, k={k})");
         let started = Instant::now();
-        let members = cover.members();
-        let clamp_min = k.saturating_sub(2 * h);
-        let mut pos_of = vec![u32::MAX; g.vertex_count()];
-        for (i, &m) in members.iter().enumerate() {
-            pos_of[m.index()] = i as u32;
-        }
-        let mut edges_per_source = Vec::with_capacity(members.len());
-        for &u in members {
-            let reach = bfs(g, u, Direction::Forward, Some(k));
-            let mut edges = Vec::new();
-            for (v, dist) in reach.reached_with_distance() {
-                if v == u {
-                    continue;
-                }
-                let pv = pos_of[v.index()];
-                if pv != u32::MAX {
-                    edges.push((pv, dist.max(clamp_min)));
-                }
-            }
-            edges_per_source.push(edges);
-        }
-        let index = CoverIndexGraph::assemble(
-            g.vertex_count(),
-            members.to_vec(),
-            edges_per_source,
-            clamp_min,
+        let index = CoverIndexGraph::sweep(
+            g,
+            cover.members().to_vec(),
+            k,
+            k.saturating_sub(2 * h),
+            None,
+            1,
         );
         HkReachIndex {
             h,

@@ -29,7 +29,8 @@
 use crate::weights::WeightStore;
 use kreach_graph::bitset::and_any;
 use kreach_graph::intersect::{gallop_lower_bound, merge_any_match, scan_find, sorted_contains};
-use kreach_graph::{FixedBitSet, VertexId};
+use kreach_graph::traversal::{LaneSweep, SWEEP_LANES};
+use kreach_graph::{FixedBitSet, GraphView, VertexId};
 use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -286,6 +287,83 @@ fn fresh_heat(cover_size: usize) -> Vec<AtomicU32> {
     (0..cover_size).map(|_| AtomicU32::new(0)).collect()
 }
 
+/// A CSR under construction, rows appended in cover-position order.
+struct CsrRows<W> {
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+    weights: W,
+}
+
+impl<W: WeightStore> CsrRows<W> {
+    fn new(clamp_min: u32, rows: usize) -> Self {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        CsrRows {
+            offsets,
+            targets: Vec::new(),
+            weights: W::with_clamp(clamp_min),
+        }
+    }
+
+    /// Appends one row of `(target position, distance)`, sorted by target
+    /// position; distances are clamped to the store's `clamp_min`.
+    fn push_row(&mut self, row: &[(u32, u32)]) {
+        let clamp_min = self.weights.clamp_min();
+        for &(t, w) in row {
+            self.targets.push(t);
+            self.weights.push(w.max(clamp_min));
+        }
+        self.offsets.push(self.targets.len() as u32);
+    }
+
+    /// The rows of `sources`, swept 64 at a time and appended as they come.
+    fn swept<G: GraphView>(
+        g: &G,
+        sources: &[VertexId],
+        k: u32,
+        label: &[u32],
+        clamp_min: u32,
+    ) -> Self {
+        let mut csr = Self::new(clamp_min, sources.len());
+        let mut lanes = LaneSweep::new();
+        for pass in sources.chunks(SWEEP_LANES) {
+            for row in lanes.sweep(g, pass, k, label) {
+                csr.push_row(row);
+            }
+        }
+        csr
+    }
+
+    /// Appends the rows of `other` after this CSR's rows.
+    fn append(&mut self, other: CsrRows<W>) {
+        let base = self.targets.len() as u32;
+        self.offsets
+            .extend(other.offsets[1..].iter().map(|&o| base + o));
+        self.targets.extend_from_slice(&other.targets);
+        for i in 0..other.weights.len() {
+            self.weights.push(other.weights.get(i));
+        }
+    }
+
+    /// The finished index graph over `cover`, its acceleration derived.
+    fn into_graph(
+        mut self,
+        n: usize,
+        cover: Vec<VertexId>,
+        threshold: Option<usize>,
+    ) -> CoverIndexGraph<W> {
+        self.targets.shrink_to_fit();
+        CoverIndexGraph::from_raw_parts_with_threshold(
+            n,
+            cover,
+            self.offsets,
+            self.targets,
+            self.weights,
+            threshold,
+        )
+    }
+}
+
 impl<W: WeightStore> CoverIndexGraph<W> {
     /// Assembles the index graph with the default dense-row threshold.
     ///
@@ -320,36 +398,12 @@ impl<W: WeightStore> CoverIndexGraph<W> {
             edges_per_source.len(),
             "one edge list per cover vertex"
         );
-        let mut cover_pos = vec![NOT_COVERED; n];
-        for (p, &v) in cover.iter().enumerate() {
-            cover_pos[v.index()] = p as u32;
-        }
-        let mut offsets = Vec::with_capacity(cover.len() + 1);
-        offsets.push(0u32);
-        let total: usize = edges_per_source.iter().map(Vec::len).sum();
-        let mut targets = Vec::with_capacity(total);
-        let mut weights = W::with_clamp(clamp_min);
+        let mut csr = CsrRows::new(clamp_min, cover.len());
         for list in &mut edges_per_source {
             list.sort_unstable_by_key(|&(t, _)| t);
-            for &(t, w) in list.iter() {
-                targets.push(t);
-                weights.push(w.max(clamp_min));
-            }
-            offsets.push(targets.len() as u32);
+            csr.push_row(list);
         }
-        let threshold = threshold.unwrap_or_else(|| default_dense_threshold(cover.len()));
-        let accel = RowAccel::build(cover.len(), &offsets, &targets, &weights, threshold);
-        let heat = fresh_heat(cover.len());
-        CoverIndexGraph {
-            cover_pos,
-            cover,
-            offsets,
-            targets,
-            weights,
-            accel: RwLock::new(accel),
-            heat,
-            accel_gen: AtomicU64::new(0),
-        }
+        csr.into_graph(n, cover, threshold)
     }
 
     /// Reassembles an index graph from previously serialized raw parts,
@@ -408,6 +462,58 @@ impl<W: WeightStore> CoverIndexGraph<W> {
             heat,
             accel_gen: AtomicU64::new(0),
         }
+    }
+
+    /// Builds the index graph over `cover` by Algorithm 1, Lines 4–13: a
+    /// k-hop forward sweep from every cover vertex, keeping the reached
+    /// cover vertices with their distance clamped to `clamp_min`. Self-edges
+    /// are omitted; query processing special-cases the identity.
+    ///
+    /// The sweep runs [`LaneSweep`] over 64 cover positions at a time and
+    /// appends each pass's sorted rows straight into the CSR, so no
+    /// per-source edge lists are ever buffered. With `threads > 1` each
+    /// worker sweeps a contiguous run of whole passes with its own scratch,
+    /// and the fragments concatenate in position order. The result is the
+    /// same for every `threads`, and equal to
+    /// [`CoverIndexGraph::assemble_with_threshold`] over per-source BFS rows.
+    pub fn sweep<G: GraphView>(
+        g: &G,
+        cover: Vec<VertexId>,
+        k: u32,
+        clamp_min: u32,
+        threshold: Option<usize>,
+        threads: usize,
+    ) -> Self
+    where
+        W: Send,
+    {
+        let mut label = vec![NOT_COVERED; g.vertex_count()];
+        for (p, &v) in cover.iter().enumerate() {
+            label[v.index()] = p as u32;
+        }
+        let passes = cover.len().div_ceil(SWEEP_LANES);
+        let workers = threads.clamp(1, passes.max(1));
+        let label = &label[..];
+        let csr = if workers == 1 {
+            CsrRows::swept(g, &cover, k, label, clamp_min)
+        } else {
+            let per_worker = passes.div_ceil(workers) * SWEEP_LANES;
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = cover
+                    .chunks(per_worker)
+                    .map(|part| scope.spawn(move || CsrRows::swept(g, part, k, label, clamp_min)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("sweep worker panicked"))
+                    .reduce(|mut csr, fragment| {
+                        csr.append(fragment);
+                        csr
+                    })
+                    .expect("at least one worker")
+            })
+        };
+        csr.into_graph(g.vertex_count(), cover, threshold)
     }
 
     /// Reassembles an index graph from raw parts **including** the hybrid

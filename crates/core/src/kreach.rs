@@ -6,7 +6,6 @@ use crate::stats::IndexStats;
 use crate::vertex_cover::{CoverStrategy, VertexCover};
 use crate::weights::PackedWeights;
 use kreach_graph::intersect::{sorted_any_common, sorted_contains};
-use kreach_graph::traversal::{bfs, Direction};
 use kreach_graph::{GraphView, VertexId};
 use std::cell::{Cell, RefCell};
 use std::sync::OnceLock;
@@ -89,10 +88,11 @@ thread_local! {
 pub struct BuildOptions {
     /// How the vertex cover is chosen (§4.1.1 vs §4.3).
     pub cover_strategy: CoverStrategy,
-    /// Number of worker threads for the per-cover-vertex BFS sweep
-    /// (Algorithm 1 Line 5; the paper notes this step is trivially
-    /// parallelizable). `1` forces sequential construction; `0` uses the
-    /// number of available CPUs.
+    /// Number of worker threads for the cover-vertex BFS sweep (Algorithm 1
+    /// Line 5; the paper notes this step is trivially parallelizable). Each
+    /// worker sweeps whole 64-source passes; the index is the same for every
+    /// value. `1` forces sequential construction; `0` uses the number of
+    /// available CPUs.
     pub threads: usize,
     /// Index out-degree at/above which a cover row is additionally stored as
     /// distance-bucketed bitsets (the hybrid fast path of
@@ -287,17 +287,30 @@ impl KReachIndex {
         let started = Instant::now();
         let cover = VertexCover::compute(g, options.cover_strategy);
         let index = Self::build_index_graph(g, k, &cover, options);
-        let built = KReachIndex {
+        Self::finish_build(g, k, index, options.cover_strategy, started)
+    }
+
+    /// Wraps a freshly swept index graph. The graph is in hand, so the
+    /// cover-position translation is built eagerly and the first live query
+    /// doesn't pay the O(n + m) build (lazy init remains only for
+    /// deserialized indexes, which see their graph at query time). The
+    /// build time is stamped after it: the translation is part of the build.
+    fn finish_build<G: GraphView>(
+        g: &G,
+        k: u32,
+        index: CoverIndexGraph<PackedWeights>,
+        cover_strategy: CoverStrategy,
+        started: Instant,
+    ) -> Self {
+        let mut built = KReachIndex {
             k,
             index,
-            build_millis: started.elapsed().as_secs_f64() * 1e3,
-            cover_strategy: options.cover_strategy,
+            build_millis: 0.0,
+            cover_strategy,
             pos_adj: OnceLock::new(),
         };
-        // The graph is in hand: translate eagerly so the first live query
-        // doesn't pay the O(n + m) build (lazy init remains only for
-        // deserialized indexes, which see their graph at query time).
         built.pos_adj(g);
+        built.build_millis = started.elapsed().as_secs_f64() * 1e3;
         built
     }
 
@@ -314,15 +327,7 @@ impl KReachIndex {
         assert!(k >= 1, "k-reach requires k >= 1");
         let started = Instant::now();
         let index = Self::build_index_graph(g, k, cover, options);
-        let built = KReachIndex {
-            k,
-            index,
-            build_millis: started.elapsed().as_secs_f64() * 1e3,
-            cover_strategy: cover.strategy(),
-            pos_adj: OnceLock::new(),
-        };
-        built.pos_adj(g);
-        built
+        Self::finish_build(g, k, index, cover.strategy(), started)
     }
 
     /// Builds an index answering *classic* reachability queries (`k = ∞`),
@@ -333,53 +338,21 @@ impl KReachIndex {
         Self::build(g, k, options)
     }
 
+    /// Sk(u) for every cover vertex u, clamped to {k−2, k−1, k}
+    /// (Algorithm 1, Lines 4–13).
     fn build_index_graph<G: GraphView>(
         g: &G,
         k: u32,
         cover: &VertexCover,
         options: BuildOptions,
     ) -> CoverIndexGraph<PackedWeights> {
-        let threads = options.effective_threads();
-        let members = cover.members();
-        let clamp_min = k.saturating_sub(2);
-        let positions: Vec<u32> = (0..members.len() as u32).collect();
-        // Dense vertex -> cover-position map, shared read-only by all workers.
-        let mut pos_of = vec![u32::MAX; g.vertex_count()];
-        for (i, &m) in members.iter().enumerate() {
-            pos_of[m.index()] = i as u32;
-        }
-
-        // Sk(u) for every cover vertex u: a k-hop BFS from u, keeping only the
-        // reached cover vertices (Algorithm 1, Lines 4–13). Self-edges are
-        // omitted; query processing special-cases the identity.
-        let scan_source = |&p: &u32| -> Vec<(u32, u32)> {
-            let u = members[p as usize];
-            let reach = bfs(g, u, Direction::Forward, Some(k));
-            let mut edges = Vec::new();
-            for (v, dist) in reach.reached_with_distance() {
-                if v == u {
-                    continue;
-                }
-                let pv = pos_of[v.index()];
-                if pv != u32::MAX {
-                    edges.push((pv, dist.max(clamp_min)));
-                }
-            }
-            edges
-        };
-
-        let edges_per_source: Vec<Vec<(u32, u32)>> = if threads <= 1 || members.len() < 64 {
-            positions.iter().map(scan_source).collect()
-        } else {
-            parallel_map(&positions, threads, scan_source)
-        };
-
-        CoverIndexGraph::assemble_with_threshold(
-            g.vertex_count(),
-            members.to_vec(),
-            edges_per_source,
-            clamp_min,
+        CoverIndexGraph::sweep(
+            g,
+            cover.members().to_vec(),
+            k,
+            k.saturating_sub(2),
             options.dense_row_threshold,
+            options.effective_threads(),
         )
     }
 
@@ -868,28 +841,6 @@ impl KReachIndex {
     pub fn retune_dense_rows(&self, budget_bytes: usize) -> crate::index_graph::AccelRetune {
         self.index.retune_dense_rows(budget_bytes)
     }
-}
-
-/// Maps `items` through `f` with `threads` scoped worker threads, preserving
-/// order. Used for the embarrassingly parallel BFS sweep of Algorithm 1.
-fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let chunk_size = items.len().div_ceil(threads.max(1));
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = items
-            .chunks(chunk_size)
-            .map(|chunk| scope.spawn(move || chunk.iter().map(f).collect::<Vec<R>>()))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("worker panicked"))
-            .collect()
-    })
 }
 
 #[cfg(test)]

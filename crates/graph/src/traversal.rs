@@ -1,9 +1,9 @@
 //! Graph traversals: BFS, k-hop BFS, bidirectional BFS, DFS, topological sort.
 //!
 //! Algorithm 1 of the paper builds the index by running a k-hop BFS from each
-//! cover vertex; the µ-BFS baseline of Section 6.3.1 answers queries with an
-//! online k-hop BFS; GRAIL's labels come from randomized DFS. All of those
-//! traversals live here.
+//! cover vertex ([`LaneSweep`] runs 64 of them at once); the µ-BFS baseline
+//! of Section 6.3.1 answers queries with an online k-hop BFS; GRAIL's labels
+//! come from randomized DFS. All of those traversals live here.
 
 use crate::bitset::FixedBitSet;
 use crate::vertex::VertexId;
@@ -398,28 +398,155 @@ pub fn topological_sort<G: GraphView>(g: &G) -> Option<Vec<VertexId>> {
     (order.len() == n).then_some(order)
 }
 
-/// Collects the set of vertices reachable from `source` within `k` hops
-/// (including the source itself), together with their distances.
+/// Sources per pass of [`LaneSweep`]: one bit of a `u64` lane word each.
+pub const SWEEP_LANES: usize = 64;
+
+/// The index-construction kernel: Algorithm 1, Line 5 (`Gk(u)` of Section
+/// 4.1.3) for up to [`SWEEP_LANES`] sources at once.
 ///
-/// This is `Gk(u)` of Section 4.1.3 and the workhorse of Algorithm 1, Line 5.
-pub fn khop_neighborhood<G: GraphView>(
-    g: &G,
-    source: VertexId,
-    k: u32,
-    direction: Direction,
-) -> BfsResult {
-    bfs(g, source, direction, Some(k))
+/// A level-synchronous, multi-source bit-parallel forward BFS (MS-BFS:
+/// Then et al., "The More the Merrier", PVLDB 8(4), 2014). Source `i` owns
+/// bit `i` of three `u64` words per vertex: `seen` (reached at any level),
+/// `frontier` (reached at the current level) and `next` (reached at the
+/// level being built). One scan of a frontier vertex's out-neighbours
+/// advances every lane that holds it, so sources with overlapping
+/// neighbourhoods share the edge scans a per-source BFS would repeat.
+///
+/// The scratch is reused across calls: the words grow to the largest graph
+/// seen and are reset sparsely through touched-vertex lists, so a pass costs
+/// only the vertices it reaches, and a build sweeps every source without
+/// allocating per source.
+#[derive(Debug, Default, Clone)]
+pub struct LaneSweep {
+    seen: Vec<u64>,
+    frontier: Vec<u64>,
+    next: Vec<u64>,
+    /// Vertices with a nonzero `seen` word.
+    touched: Vec<VertexId>,
+    /// Vertices with a nonzero `frontier` / `next` word.
+    frontier_list: Vec<VertexId>,
+    next_list: Vec<VertexId>,
+    /// One output row per lane, capacity kept across passes.
+    rows: Vec<Vec<(u32, u32)>>,
 }
 
-/// A reusable bounded-BFS scratch space for query-time neighbourhood
+impl LaneSweep {
+    /// Creates an empty sweep; buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Runs one k-hop forward sweep from each of `sources` (at most
+    /// [`SWEEP_LANES`]) and returns one row per source, in source order.
+    ///
+    /// Row `i` lists `(label[v], dist(sources[i], v))` for every vertex
+    /// `v ≠ sources[i]` within `k` hops whose label is not `u32::MAX`,
+    /// sorted by label. Labels are cover positions in every
+    /// caller, so a row is exactly one CSR row of the index graph. `label`
+    /// must have an entry for every vertex of `g`, and labels must be
+    /// distinct. The rows are valid until the next call.
+    pub fn sweep<G: GraphView>(
+        &mut self,
+        g: &G,
+        sources: &[VertexId],
+        k: u32,
+        label: &[u32],
+    ) -> &[Vec<(u32, u32)>] {
+        assert!(sources.len() <= SWEEP_LANES, "at most 64 sources per pass");
+        let n = g.vertex_count();
+        debug_assert!(label.len() >= n, "one label per vertex");
+        if self.seen.len() < n {
+            self.seen.resize(n, 0);
+            self.frontier.resize(n, 0);
+            self.next.resize(n, 0);
+        }
+        if self.rows.len() < sources.len() {
+            self.rows.resize_with(sources.len(), Vec::new);
+        }
+        let Self {
+            seen,
+            frontier,
+            next,
+            touched,
+            frontier_list,
+            next_list,
+            rows,
+        } = self;
+        let rows = &mut rows[..sources.len()];
+        rows.iter_mut().for_each(Vec::clear);
+
+        for (lane, &s) in sources.iter().enumerate() {
+            let bit = 1u64 << lane;
+            if seen[s.index()] == 0 {
+                touched.push(s);
+            }
+            seen[s.index()] |= bit;
+            if frontier[s.index()] == 0 {
+                frontier_list.push(s);
+            }
+            frontier[s.index()] |= bit;
+        }
+
+        for depth in 1..=k {
+            if frontier_list.is_empty() {
+                break;
+            }
+            for &u in frontier_list.iter() {
+                let lanes = std::mem::take(&mut frontier[u.index()]);
+                for &v in g.out_neighbors(u) {
+                    let fresh = lanes & !seen[v.index()];
+                    if fresh == 0 {
+                        continue;
+                    }
+                    if seen[v.index()] == 0 {
+                        touched.push(v);
+                    }
+                    seen[v.index()] |= fresh;
+                    if next[v.index()] == 0 {
+                        next_list.push(v);
+                    }
+                    next[v.index()] |= fresh;
+                }
+            }
+            frontier_list.clear();
+            for &v in next_list.iter() {
+                let l = label[v.index()];
+                if l == u32::MAX {
+                    continue;
+                }
+                let mut lanes = next[v.index()];
+                while lanes != 0 {
+                    rows[lanes.trailing_zeros() as usize].push((l, depth));
+                    lanes &= lanes - 1;
+                }
+            }
+            std::mem::swap(frontier, next);
+            std::mem::swap(frontier_list, next_list);
+        }
+
+        // Sparse reset: only the words this pass set are nonzero.
+        for v in frontier_list.drain(..) {
+            frontier[v.index()] = 0;
+        }
+        for v in touched.drain(..) {
+            seen[v.index()] = 0;
+        }
+        for row in rows.iter_mut() {
+            row.sort_unstable_by_key(|&(l, _)| l);
+        }
+        rows
+    }
+}
+
+/// A reusable bounded-BFS scratch space for single-source neighbourhood
 /// exploration.
 ///
-/// [`bfs`] allocates `O(n)` per call, which is fine for index construction
-/// (one call per cover vertex) but far too expensive when a *query* needs the
-/// h-hop neighbourhood of its endpoints — the situation in Algorithm 3 of the
-/// paper. `NeighborhoodExplorer` keeps its visitation marks across calls
-/// using an epoch counter, so each exploration costs only the size of the
-/// neighbourhood actually touched.
+/// [`bfs`] allocates `O(n)` per call, far too expensive when a *query* needs
+/// the h-hop neighbourhood of its endpoints — the situation in Algorithm 3
+/// of the paper — or when incremental maintenance recomputes one index row.
+/// `NeighborhoodExplorer` keeps its visitation marks across calls using an
+/// epoch counter, so each exploration costs only the size of the
+/// neighbourhood actually touched. (Whole-index sweeps use [`LaneSweep`].)
 #[derive(Debug, Default, Clone)]
 pub struct NeighborhoodExplorer {
     epoch: u32,
@@ -656,13 +783,54 @@ mod tests {
         );
     }
 
+    /// Per-source reference for one [`LaneSweep`] row.
+    fn reference_row(g: &DiGraph, s: VertexId, k: u32, label: &[u32]) -> Vec<(u32, u32)> {
+        let mut row: Vec<(u32, u32)> = bfs(g, s, Direction::Forward, Some(k))
+            .reached_with_distance()
+            .filter(|&(v, _)| v != s && label[v.index()] != u32::MAX)
+            .map(|(v, d)| (label[v.index()], d))
+            .collect();
+        row.sort_unstable();
+        row
+    }
+
     #[test]
-    fn khop_neighborhood_reports_distances() {
-        let g = path_with_shortcut();
-        let r = khop_neighborhood(&g, VertexId(0), 1, Direction::Forward);
-        let reached: Vec<_> = r.reached_with_distance().collect();
-        assert!(reached.contains(&(VertexId(1), 1)));
-        assert!(reached.contains(&(VertexId(3), 1)));
-        assert!(!r.reached(VertexId(2)));
+    fn lane_sweep_matches_per_source_bfs() {
+        // Cycles, a shortcut and vertices every lane shares; 70 sources
+        // span two passes, the second one partial.
+        let n = 90u32;
+        let mut edges: Vec<(u32, u32)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+        edges.extend((0..n).step_by(7).map(|i| (i, (i * 13 + 5) % n)));
+        let g = DiGraph::from_edges(n as usize, edges);
+        // Every third vertex is unlabelled; labels are not vertex ids.
+        let label: Vec<u32> = (0..n)
+            .map(|v| if v % 3 == 2 { u32::MAX } else { 1000 - v })
+            .collect();
+        let sources: Vec<VertexId> = (0..70).map(|i| VertexId((i * 11) % n)).collect();
+        let mut sweep = LaneSweep::new();
+        for k in [1, 2, 3, 5, n] {
+            for chunk in sources.chunks(SWEEP_LANES) {
+                let rows = sweep.sweep(&g, chunk, k, &label).to_vec();
+                assert_eq!(rows.len(), chunk.len());
+                for (&s, row) in chunk.iter().zip(&rows) {
+                    assert_eq!(*row, reference_row(&g, s, k, &label), "k={k} s={s}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_sweep_scratch_survives_graph_switches() {
+        let small = DiGraph::from_edges(3, [(0, 1), (1, 2)]);
+        let large = DiGraph::from_edges(12, (0..11u32).map(|i| (i, i + 1)));
+        let label: Vec<u32> = (0..12).collect();
+        let mut sweep = LaneSweep::new();
+        for _ in 0..3 {
+            let rows = sweep.sweep(&large, &[VertexId(0), VertexId(5)], 3, &label);
+            assert_eq!(rows[0], vec![(1, 1), (2, 2), (3, 3)]);
+            assert_eq!(rows[1], vec![(6, 1), (7, 2), (8, 3)]);
+            let rows = sweep.sweep(&small, &[VertexId(0)], 5, &label);
+            assert_eq!(rows, [vec![(1, 1), (2, 2)]]);
+        }
     }
 }
