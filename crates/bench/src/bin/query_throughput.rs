@@ -24,9 +24,7 @@
 
 use kreach_bench::Table;
 use kreach_core::{BuildOptions, KReachIndex, QueryCase, VertexCover};
-use kreach_engine::{
-    BatchEngine, EngineConfig, EngineStats, KReachBackend, Query, QueryBatch, ACCEL_RETUNE_INTERVAL,
-};
+use kreach_engine::{BatchEngine, EngineConfig, EngineStats, KReachBackend, Query, QueryBatch};
 use kreach_graph::generators::GeneratorSpec;
 use kreach_graph::{DiGraph, VertexId};
 use kreach_obs::{FlightRecorder, Recorder, WindowStats};
@@ -252,114 +250,6 @@ fn measure_batched(
     }
 }
 
-/// Convergence evidence for the adaptive dense-row tuner: an index built at
-/// a deliberately detuned threshold is served under a byte budget until the
-/// engine's retunes settle, then its throughput is compared against the
-/// statically auto-tuned build.
-struct AdaptiveReport {
-    detuned_threshold: usize,
-    budget_bytes: usize,
-    static_qps: f64,
-    cold_qps: f64,
-    warm_qps: f64,
-    retunes: u64,
-    rows_promoted: u64,
-    rows_demoted: u64,
-    dense_rows_start: usize,
-    dense_rows_end: usize,
-    /// Dense-row footprint (index-graph accel bytes) — the number the byte
-    /// budget governs.
-    dense_bytes_start: usize,
-    dense_bytes_end: usize,
-}
-
-impl AdaptiveReport {
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"detuned_threshold\":{},\"budget_bytes\":{},",
-                "\"static_qps\":{:.1},\"cold_qps\":{:.1},\"warm_qps\":{:.1},",
-                "\"retunes\":{},\"rows_promoted\":{},\"rows_demoted\":{},",
-                "\"dense_rows_start\":{},\"dense_rows_end\":{},",
-                "\"dense_bytes_start\":{},\"dense_bytes_end\":{}}}"
-            ),
-            self.detuned_threshold,
-            self.budget_bytes,
-            self.static_qps,
-            self.cold_qps,
-            self.warm_qps,
-            self.retunes,
-            self.rows_promoted,
-            self.rows_demoted,
-            self.dense_rows_start,
-            self.dense_rows_end,
-            self.dense_bytes_start,
-            self.dense_bytes_end,
-        )
-    }
-}
-
-fn adaptive_run(
-    g: &Arc<DiGraph>,
-    static_qps: f64,
-    detuned_threshold: usize,
-    budget_bytes: usize,
-    queries: &[(VertexId, VertexId)],
-) -> AdaptiveReport {
-    let k = 3;
-    let detuned = KReachIndex::build(
-        g.as_ref(),
-        k,
-        BuildOptions {
-            dense_row_threshold: Some(detuned_threshold),
-            ..BuildOptions::default()
-        },
-    );
-    let dense_rows_start = detuned.index_graph().dense_row_count();
-    let dense_bytes_start = detuned.index_graph().accel_size_bytes();
-    let backend = Arc::new(KReachBackend::new(Arc::clone(g), detuned));
-    let engine = BatchEngine::new(
-        Arc::clone(&backend) as _,
-        EngineConfig {
-            cache_capacity: 0,
-            accel_budget: budget_bytes,
-            ..EngineConfig::default()
-        },
-    );
-    let batch = QueryBatch::new(queries.iter().map(|&(s, t)| Query { s, t, k }).collect());
-    let cold_qps = engine
-        .run(&batch)
-        .expect("workload in range")
-        .stats
-        .queries_per_sec;
-    // Warm until at least three retune windows have elapsed, so the heat
-    // counters the tuner ranks by reflect the served mix.
-    let rounds = (3 * ACCEL_RETUNE_INTERVAL as usize).div_ceil(batch.len().max(1)) + 1;
-    for _ in 0..rounds {
-        engine.run(&batch).expect("workload in range");
-    }
-    let warm_qps = engine
-        .run(&batch)
-        .expect("workload in range")
-        .stats
-        .queries_per_sec;
-    let info = engine.info();
-    AdaptiveReport {
-        detuned_threshold,
-        budget_bytes,
-        static_qps,
-        cold_qps,
-        warm_qps,
-        retunes: info.accel_retunes,
-        rows_promoted: info.accel_promoted,
-        rows_demoted: info.accel_demoted,
-        dense_rows_start,
-        dense_rows_end: info.accel_dense_rows,
-        dense_bytes_start,
-        dense_bytes_end: backend.index().index_graph().accel_size_bytes(),
-    }
-}
-
 /// Cost of attaching the v2 telemetry sinks — the rolling [`WindowStats`]
 /// and the [`FlightRecorder`] — to the engine, against the same engine
 /// bare. Both sides take the best of three fresh-engine runs so scheduler
@@ -466,8 +356,6 @@ struct WorkloadReport {
     /// Target-grouped batched dispatch vs. per-query calls at several batch
     /// sizes (hub workload only; empty elsewhere).
     batched: Vec<BatchedReport>,
-    /// Adaptive dense-row tuner convergence run (uniform workload only).
-    adaptive: Option<AdaptiveReport>,
     /// Engine batch run with the production no-op recorder.
     engine: EngineStats,
     /// The same batch fully traced, to keep the instrumentation overhead
@@ -482,17 +370,13 @@ impl WorkloadReport {
     fn to_json(&self) -> String {
         let cases: Vec<String> = self.cases.iter().map(CaseReport::to_json).collect();
         let batched: Vec<String> = self.batched.iter().map(BatchedReport::to_json).collect();
-        let adaptive = self
-            .adaptive
-            .as_ref()
-            .map_or_else(|| "null".to_string(), AdaptiveReport::to_json);
         format!(
             concat!(
                 "{{\"workload\":\"{}\",\"vertices\":{},\"edges\":{},\"k\":{},",
                 "\"cover_size\":{},\"dense_rows\":{},\"dense_threshold\":{},",
                 "\"accel_bytes\":{},",
                 "\"case_distribution\":[{:.4},{:.4},{:.4},{:.4}],",
-                "\"cases\":[{}],\"batched\":[{}],\"adaptive\":{},",
+                "\"cases\":[{}],\"batched\":[{}],",
                 "\"engine_qps\":{:.1},",
                 // The engine objects share EngineStats' JSON schema — the
                 // same "cases"/"resolutions" labeled-count objects the
@@ -513,7 +397,6 @@ impl WorkloadReport {
             self.case_distribution[3],
             cases.join(","),
             batched.join(","),
-            adaptive,
             self.engine.queries_per_sec,
             self.engine.to_json(),
             self.engine_traced.to_json(),
@@ -569,24 +452,6 @@ impl WorkloadReport {
                 report.batched_micros,
                 report.per_query_micros,
                 report.speedup(),
-            );
-        }
-        if let Some(adaptive) = &self.adaptive {
-            println!(
-                "  adaptive: threshold {} under {} B budget: {:.0} q/s cold -> {:.0} q/s warm \
-                 (static {:.0} q/s) · {} retunes, +{}/-{} rows, dense {} -> {}, {} -> {} dense B",
-                adaptive.detuned_threshold,
-                adaptive.budget_bytes,
-                adaptive.cold_qps,
-                adaptive.warm_qps,
-                adaptive.static_qps,
-                adaptive.retunes,
-                adaptive.rows_promoted,
-                adaptive.rows_demoted,
-                adaptive.dense_rows_start,
-                adaptive.dense_rows_end,
-                adaptive.dense_bytes_start,
-                adaptive.dense_bytes_end,
             );
         }
     }
@@ -800,7 +665,6 @@ fn hub_workload(config: &Config, min_nanos: u128) -> WorkloadReport {
             measure_case(&g, &index, QueryCase::NeitherInCover, &case4, min_nanos),
         ],
         batched,
-        adaptive: None,
         engine,
         engine_traced,
         obs_window,
@@ -837,16 +701,6 @@ fn uniform_workload(config: &Config, min_nanos: u128) -> WorkloadReport {
     let (engine, engine_traced) = engine_runs(&g, &index, &engine_queries);
     let obs_window = obs_window_run(&g, &index, &engine_queries);
     let ig = index.index_graph();
-    // Serve the same mix from a detuned build (threshold 128 promotes far
-    // more rows than auto-tuning would) under the static build's byte
-    // budget; the engine's retunes should converge on comparable throughput.
-    let adaptive = adaptive_run(
-        &g,
-        engine.queries_per_sec,
-        128,
-        ig.accel_size_bytes().max(1),
-        &engine_queries,
-    );
     WorkloadReport {
         name: "uniform".to_string(),
         vertices: g.vertex_count(),
@@ -859,7 +713,6 @@ fn uniform_workload(config: &Config, min_nanos: u128) -> WorkloadReport {
         case_distribution: distribution,
         cases: reports,
         batched: Vec::new(),
-        adaptive: Some(adaptive),
         engine,
         engine_traced,
         obs_window,

@@ -18,7 +18,7 @@ use kreach_core::dynamic::DynamicOptions;
 use kreach_engine::{
     BatchEngine, DynamicKReachBackend, EngineConfig, Query, QueryBatch, Reachability,
 };
-use kreach_graph::dynamic::EdgeUpdate;
+use kreach_graph::EdgeUpdate;
 use kreach_graph::{DiGraph, VertexId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

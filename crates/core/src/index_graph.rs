@@ -22,7 +22,7 @@
 //!   ([`kreach_graph::intersect`]) instead of one binary search per
 //!   candidate.
 //!
-//! The bitsets are derived from the CSR (they are rebuilt on deserialize),
+//! The bitsets are derived from the CSR once and never change afterwards,
 //! so the paper-shaped index — cover, offsets, targets, packed weights — is
 //! still the single source of truth.
 
@@ -33,8 +33,6 @@ use kreach_graph::traversal::{LaneSweep, SWEEP_LANES};
 use kreach_graph::{FixedBitSet, GraphView, VertexId};
 use std::cell::RefCell;
 use std::fmt;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{RwLock, RwLockReadGuard};
 
 /// Sentinel for "vertex is not in the cover".
 const NOT_COVERED: u32 = u32::MAX;
@@ -85,29 +83,6 @@ impl RowAccel {
         weights: &W,
         threshold: usize,
     ) -> RowAccel {
-        Self::build_with(
-            cover_size,
-            offsets,
-            targets,
-            weights,
-            threshold,
-            |_, deg| threshold != usize::MAX && deg >= threshold,
-        )
-    }
-
-    /// [`RowAccel::build`] with an arbitrary row-selection predicate
-    /// `keep(position, degree)` — the runtime promote/demote path, which
-    /// chooses rows by serve-time heat rather than the build-time threshold.
-    /// Slots are always assigned densely in cover-position order, preserving
-    /// the invariant the v3 load path validates.
-    fn build_with<W: WeightStore>(
-        cover_size: usize,
-        offsets: &[u32],
-        targets: &[u32],
-        weights: &W,
-        threshold: usize,
-        mut keep: impl FnMut(usize, usize) -> bool,
-    ) -> RowAccel {
         let clamp_min = weights.clamp_min();
         let classes = (0..weights.len())
             .map(|i| weights.get(i) - clamp_min + 1)
@@ -128,7 +103,7 @@ impl RowAccel {
         for p in 0..cover_size {
             let lo = offsets[p] as usize;
             let hi = offsets[p + 1] as usize;
-            if !keep(p, hi - lo) {
+            if hi - lo < threshold {
                 continue;
             }
             let base = accel.dense_words.len();
@@ -177,39 +152,22 @@ impl RowAccel {
     }
 }
 
-/// Owned snapshot of the hybrid successor acceleration
-/// ([`CoverIndexGraph::accel_parts`]), exactly as laid out in memory. Owned
-/// (not borrowed) because the live acceleration is swappable at runtime by
-/// the promote/demote path; serialization works from a consistent copy.
-#[derive(Debug, Clone)]
-pub struct AccelParts {
-    /// Dense-row degree threshold the index was built with. After runtime
-    /// promote/demote this is a *hint*: the slot map below is authoritative.
+/// Borrowed view of the hybrid successor acceleration
+/// ([`CoverIndexGraph::accel_parts`]), exactly as laid out in memory.
+#[derive(Debug, Clone, Copy)]
+pub struct AccelParts<'a> {
+    /// Dense-row degree threshold the index was built with.
     pub threshold: usize,
     /// Number of weight classes per dense row.
     pub classes: u32,
     /// `u64` words per class bitset (`ceil(cover_size / 64)`).
     pub words_per_class: usize,
     /// Cover position → dense slot map (`u32::MAX` marks a sparse row).
-    pub dense_of: Vec<u32>,
+    pub dense_of: &'a [u32],
     /// Flat class bitset words, laid out `[slot][class][word]`.
-    pub dense_words: Vec<u64>,
+    pub dense_words: &'a [u64],
     /// Number of dense rows.
     pub dense_rows: usize,
-}
-
-/// Summary of one promote/demote pass over the dense-row set
-/// ([`CoverIndexGraph::retune_dense_rows`] and friends).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AccelRetune {
-    /// Rows that gained the dense (bitset) form in this pass.
-    pub promoted: usize,
-    /// Rows that lost it.
-    pub demoted: usize,
-    /// Dense rows after the pass.
-    pub dense_rows: usize,
-    /// Acceleration footprint after the pass, in bytes.
-    pub accel_bytes: usize,
 }
 
 thread_local! {
@@ -231,6 +189,7 @@ const SHORT_ROW_SCAN: usize = 64;
 /// A weighted directed graph over the cover vertices, generic in how the
 /// per-edge weights are stored (2-bit packed for k-reach, plain `u16` for
 /// (h,k)-reach).
+#[derive(Clone)]
 pub struct CoverIndexGraph<W> {
     /// Maps an input-graph vertex to its dense cover position, or `NOT_COVERED`.
     cover_pos: Vec<u32>,
@@ -242,49 +201,9 @@ pub struct CoverIndexGraph<W> {
     targets: Vec<u32>,
     /// Per-edge clamped distances, parallel to `targets`.
     weights: W,
-    /// Hybrid successor acceleration. Derived from the CSR and **swappable
-    /// at runtime**: the adaptive promote/demote path rebuilds it from the
-    /// (immutable) CSR and installs the replacement under the write lock,
-    /// while queries read through a short-lived read guard. The serialized
-    /// slot map is therefore a build-time hint, not a contract.
-    accel: RwLock<RowAccel>,
-    /// Per-row serve-time touch counters (sampled by the query layer via
-    /// [`CoverIndexGraph::note_row_touch`]); the evidence the adaptive
-    /// retune ranks rows by.
-    heat: Vec<AtomicU32>,
-    /// Bumped once per installed acceleration swap — the accel's own epoch,
-    /// separate from the cache epoch because swaps are answer-preserving.
-    accel_gen: AtomicU64,
-}
-
-impl<W: Clone> Clone for CoverIndexGraph<W> {
-    fn clone(&self) -> Self {
-        CoverIndexGraph {
-            cover_pos: self.cover_pos.clone(),
-            cover: self.cover.clone(),
-            offsets: self.offsets.clone(),
-            targets: self.targets.clone(),
-            weights: self.weights.clone(),
-            accel: RwLock::new(read_lock(&self.accel).clone()),
-            heat: self
-                .heat
-                .iter()
-                .map(|h| AtomicU32::new(h.load(Ordering::Relaxed)))
-                .collect(),
-            accel_gen: AtomicU64::new(self.accel_gen.load(Ordering::Relaxed)),
-        }
-    }
-}
-
-/// Reads a lock whose protected value is always consistent (writers only
-/// ever install fully-built replacements), so poisoning is recoverable.
-fn read_lock<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    lock.read().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Allocates one zeroed heat counter per cover row.
-fn fresh_heat(cover_size: usize) -> Vec<AtomicU32> {
-    (0..cover_size).map(|_| AtomicU32::new(0)).collect()
+    /// Hybrid successor acceleration, derived from the CSR once at assembly
+    /// (or installed from a v3 file) and immutable afterwards.
+    accel: RowAccel,
 }
 
 /// A CSR under construction, rows appended in cover-position order.
@@ -451,16 +370,13 @@ impl<W: WeightStore> CoverIndexGraph<W> {
         }
         let threshold = threshold.unwrap_or_else(|| default_dense_threshold(cover.len()));
         let accel = RowAccel::build(cover.len(), &offsets, &targets, &weights, threshold);
-        let heat = fresh_heat(cover.len());
         CoverIndexGraph {
             cover_pos,
             cover,
             offsets,
             targets,
             weights,
-            accel: RwLock::new(accel),
-            heat,
-            accel_gen: AtomicU64::new(0),
+            accel,
         }
     }
 
@@ -617,33 +533,28 @@ impl<W: WeightStore> CoverIndexGraph<W> {
             dense_words,
             dense_rows,
         };
-        let heat = fresh_heat(cover.len());
         Ok(CoverIndexGraph {
             cover_pos,
             cover,
             offsets,
             targets,
             weights,
-            accel: RwLock::new(accel),
-            heat,
-            accel_gen: AtomicU64::new(0),
+            accel,
         })
     }
 
-    /// Snapshots the raw pieces of the hybrid acceleration exactly as laid
-    /// out in memory — what the v3 on-disk format serializes so a later load
-    /// can validate-into-place
-    /// ([`CoverIndexGraph::from_raw_parts_with_accel`]) instead of rebuilding
-    /// the bitsets. A copy (not a borrow) because the live acceleration is
-    /// swappable at runtime.
-    pub fn accel_parts(&self) -> AccelParts {
-        let accel = read_lock(&self.accel);
+    /// The raw pieces of the hybrid acceleration exactly as laid out in
+    /// memory — what the v3 on-disk format serializes so a later load can
+    /// validate-into-place ([`CoverIndexGraph::from_raw_parts_with_accel`])
+    /// instead of rebuilding the bitsets.
+    pub fn accel_parts(&self) -> AccelParts<'_> {
+        let accel = &self.accel;
         AccelParts {
             threshold: accel.threshold,
             classes: accel.classes,
             words_per_class: accel.words_per_class,
-            dense_of: accel.dense_of.clone(),
-            dense_words: accel.dense_words.clone(),
+            dense_of: &accel.dense_of,
+            dense_words: &accel.dense_words,
             dense_rows: accel.dense_rows,
         }
     }
@@ -668,47 +579,21 @@ impl<W: WeightStore> CoverIndexGraph<W> {
         &self.cover
     }
 
-    /// The dense-row degree threshold the index was built with. After a
-    /// runtime retune this is a hint; the live slot set is authoritative.
+    /// The dense-row degree threshold the index was built with.
     pub fn dense_threshold(&self) -> usize {
-        read_lock(&self.accel).threshold
+        self.accel.threshold
     }
 
     /// Number of cover rows stored in bitset (dense) form.
     pub fn dense_row_count(&self) -> usize {
-        read_lock(&self.accel).dense_rows
+        self.accel.dense_rows
     }
 
     /// Heap footprint of the hybrid acceleration (position map excluded from
     /// [`CoverIndexGraph::size_bytes`], which reports the paper-shaped index
     /// alone).
     pub fn accel_size_bytes(&self) -> usize {
-        read_lock(&self.accel).size_bytes()
-    }
-
-    /// Records a serve-time touch of cover row `p` — the evidence
-    /// [`CoverIndexGraph::retune_dense_rows`] ranks rows by. Sampled by the
-    /// query layer, so it must stay one relaxed atomic add.
-    #[inline]
-    pub fn note_row_touch(&self, p: u32) {
-        if let Some(h) = self.heat.get(p as usize) {
-            h.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Current (decayed) serve-time heat of cover row `p`.
-    pub fn row_heat(&self, p: u32) -> u32 {
-        self.heat
-            .get(p as usize)
-            .map_or(0, |h| h.load(Ordering::Relaxed))
-    }
-
-    /// Number of acceleration swaps installed since construction — the
-    /// accel's own epoch. Separate from the result-cache epoch because every
-    /// swap is answer-preserving (dense and sparse forms answer identically),
-    /// so cached answers never need invalidating.
-    pub fn accel_generation(&self) -> u64 {
-        self.accel_gen.load(Ordering::Relaxed)
+        self.accel.size_bytes()
     }
 
     /// The cover position of `v`, or `None` if `v` is not in the cover.
@@ -753,15 +638,11 @@ impl<W: WeightStore> CoverIndexGraph<W> {
     /// row, a scan/binary search on a sparse one.
     #[inline]
     pub fn edge_exists_by_pos(&self, pu: u32, pv: u32) -> bool {
-        self.edge_exists_in(&read_lock(&self.accel), pu, pv)
-    }
-
-    #[inline]
-    fn edge_exists_in(&self, accel: &RowAccel, pu: u32, pv: u32) -> bool {
-        match accel.slot(pu) {
+        match self.accel.slot(pu) {
             Some(slot) => {
                 kreach_obs::observe::note_dense_probe();
-                let words = accel
+                let words = self
+                    .accel
                     .class_words(slot, u32::MAX, self.weights.clamp_min())
                     .expect("top class always admits u32::MAX");
                 RowAccel::probe(words, pv)
@@ -775,15 +656,13 @@ impl<W: WeightStore> CoverIndexGraph<W> {
     /// one word probe on a dense row, search + weight fetch on a sparse one.
     #[inline]
     pub fn edge_weight_le(&self, pu: u32, pv: u32, bound: u32) -> bool {
-        self.edge_weight_le_in(&read_lock(&self.accel), pu, pv, bound)
-    }
-
-    #[inline]
-    fn edge_weight_le_in(&self, accel: &RowAccel, pu: u32, pv: u32, bound: u32) -> bool {
-        match accel.slot(pu) {
+        match self.accel.slot(pu) {
             Some(slot) => {
                 kreach_obs::observe::note_dense_probe();
-                match accel.class_words(slot, bound, self.weights.clamp_min()) {
+                match self
+                    .accel
+                    .class_words(slot, bound, self.weights.clamp_min())
+                {
                     Some(words) => RowAccel::probe(words, pv),
                     None => false,
                 }
@@ -796,16 +675,12 @@ impl<W: WeightStore> CoverIndexGraph<W> {
     }
 
     /// Whether any `pu` in `sources` has an index edge to `pt` with weight ≤
-    /// `bound` — the Case-3 scan of Algorithm 2, with one guard acquisition
-    /// for the whole source list instead of one per edge probe.
+    /// `bound` — the Case-3 scan of Algorithm 2.
     pub fn any_source_edge_le(&self, sources: &[u32], pt: u32, bound: u32) -> bool {
         if bound < self.weights.clamp_min() {
             return false;
         }
-        let accel = read_lock(&self.accel);
-        sources
-            .iter()
-            .any(|&pu| self.edge_weight_le_in(&accel, pu, pt, bound))
+        sources.iter().any(|&pu| self.edge_weight_le(pu, pt, bound))
     }
 
     /// Whether any candidate in the **sorted** position list has an edge from
@@ -813,14 +688,13 @@ impl<W: WeightStore> CoverIndexGraph<W> {
     /// rows probe each candidate in O(1); sparse rows run a galloping
     /// merge-intersection against the row slice.
     pub fn any_edge_le(&self, pu: u32, candidates: &[u32], bound: u32) -> bool {
-        self.any_edge_le_in(&read_lock(&self.accel), pu, candidates, bound)
-    }
-
-    fn any_edge_le_in(&self, accel: &RowAccel, pu: u32, candidates: &[u32], bound: u32) -> bool {
-        match accel.slot(pu) {
+        match self.accel.slot(pu) {
             Some(slot) => {
                 kreach_obs::observe::note_dense_probe();
-                match accel.class_words(slot, bound, self.weights.clamp_min()) {
+                match self
+                    .accel
+                    .class_words(slot, bound, self.weights.clamp_min())
+                {
                     Some(words) => candidates.iter().any(|&pv| RowAccel::probe(words, pv)),
                     None => false,
                 }
@@ -849,9 +723,9 @@ impl<W: WeightStore> CoverIndexGraph<W> {
     /// Prepares a sorted candidate position list for repeated row probes and
     /// runs `f` against it — the batched entry point behind
     /// [`CoverIndexGraph::any_pair_edge_le`] and the engine's target-grouped
-    /// Case-4 kernel. The candidate scratch bitset (when worthwhile) and the
-    /// acceleration read guard are built **once**, then every
-    /// [`PreparedCandidates::row_any_le`] inside `f` reuses them.
+    /// Case-4 kernel. The candidate scratch bitset (when worthwhile) is built
+    /// **once**, then every [`PreparedCandidates::row_any_le`] inside `f`
+    /// reuses it.
     ///
     /// `f` must not re-enter `with_candidates` / `any_pair_edge_le` on the
     /// same thread (the scratch bitset is a thread-local `RefCell`).
@@ -860,12 +734,10 @@ impl<W: WeightStore> CoverIndexGraph<W> {
         candidates: &[u32],
         f: impl FnOnce(&PreparedCandidates<'_, W>) -> R,
     ) -> R {
-        let accel = read_lock(&self.accel);
-        let use_scratch = candidates.len() >= SCRATCH_MIN_CANDIDATES && accel.dense_rows > 0;
+        let use_scratch = candidates.len() >= SCRATCH_MIN_CANDIDATES && self.accel.dense_rows > 0;
         if !use_scratch {
             return f(&PreparedCandidates {
                 ig: self,
-                accel: &accel,
                 candidates,
                 bits: None,
             });
@@ -888,7 +760,6 @@ impl<W: WeightStore> CoverIndexGraph<W> {
             let guard = ClearOnDrop(scratch, candidates);
             f(&PreparedCandidates {
                 ig: self,
-                accel: &accel,
                 candidates,
                 bits: Some(&guard.0),
             })
@@ -918,134 +789,6 @@ impl<W: WeightStore> CoverIndexGraph<W> {
             }
         }
         false
-    }
-
-    /// All cover positions currently holding the dense form, sorted.
-    fn current_dense_positions(&self) -> Vec<u32> {
-        let accel = read_lock(&self.accel);
-        (0..accel.dense_of.len() as u32)
-            .filter(|&p| accel.dense_of[p as usize] != NOT_DENSE)
-            .collect()
-    }
-
-    /// Rebuilds the hybrid acceleration so exactly the rows in `rows`
-    /// (sorted cover positions) hold the bitset form, and installs the
-    /// replacement under the write lock. The rebuild runs outside any lock —
-    /// in-flight queries keep reading the old acceleration — and the swap is
-    /// answer-preserving (dense and sparse forms answer identically), so the
-    /// result cache stays valid and only
-    /// [`CoverIndexGraph::accel_generation`] advances. When the weight span
-    /// exceeds the dense class limit the request degrades to zero dense rows,
-    /// exactly as at build time.
-    pub fn set_dense_rows(&self, rows: &[u32]) -> AccelRetune {
-        debug_assert!(
-            rows.windows(2).all(|w| w[0] < w[1]),
-            "dense row list must be sorted and unique"
-        );
-        let threshold = {
-            let current = read_lock(&self.accel);
-            let unchanged =
-                current.dense_rows == rows.len() && rows.iter().all(|&p| current.slot(p).is_some());
-            if unchanged {
-                return AccelRetune {
-                    promoted: 0,
-                    demoted: 0,
-                    dense_rows: current.dense_rows,
-                    accel_bytes: current.size_bytes(),
-                };
-            }
-            current.threshold
-        };
-        let next = RowAccel::build_with(
-            self.cover.len(),
-            &self.offsets,
-            &self.targets,
-            &self.weights,
-            threshold,
-            |p, _| sorted_contains(rows, p as u32),
-        );
-        let mut guard = self.accel.write().unwrap_or_else(|e| e.into_inner());
-        let (mut promoted, mut demoted) = (0usize, 0usize);
-        for (was, is) in guard.dense_of.iter().zip(&next.dense_of) {
-            promoted += usize::from(*is != NOT_DENSE && *was == NOT_DENSE);
-            demoted += usize::from(*is == NOT_DENSE && *was != NOT_DENSE);
-        }
-        let retune = AccelRetune {
-            promoted,
-            demoted,
-            dense_rows: next.dense_rows,
-            accel_bytes: next.size_bytes(),
-        };
-        if promoted + demoted > 0 {
-            *guard = next;
-            drop(guard);
-            self.accel_gen.fetch_add(1, Ordering::Relaxed);
-        }
-        retune
-    }
-
-    /// Gives cover row `p` the dense (bitset) form, swapping the
-    /// acceleration. Returns `true` if the row actually migrated (it was
-    /// sparse, in range, and the weight span admits dense rows).
-    pub fn promote_row(&self, p: u32) -> bool {
-        if p as usize >= self.cover.len() {
-            return false;
-        }
-        let mut rows = self.current_dense_positions();
-        match rows.binary_search(&p) {
-            Ok(_) => return false,
-            Err(i) => rows.insert(i, p),
-        }
-        self.set_dense_rows(&rows).promoted == 1
-    }
-
-    /// Returns cover row `p` to the sparse (sorted-slice) form, swapping the
-    /// acceleration. Returns `true` if the row actually migrated.
-    pub fn demote_row(&self, p: u32) -> bool {
-        let mut rows = self.current_dense_positions();
-        match rows.binary_search(&p) {
-            Ok(i) => {
-                rows.remove(i);
-            }
-            Err(_) => return false,
-        }
-        self.set_dense_rows(&rows).demoted == 1
-    }
-
-    /// One adaptive promote/demote pass. Rows are eligible for the dense
-    /// form once their degree reaches [`default_dense_threshold`] (the
-    /// cost-model break-even where a bitset AND beats the galloping merge);
-    /// eligible rows are ranked by serve-time heat
-    /// ([`CoverIndexGraph::note_row_touch`]), then degree, and as many as fit
-    /// in `budget_bytes` (charged for the slot map plus each row's class
-    /// bitsets, so the resulting [`CoverIndexGraph::accel_size_bytes`] stays
-    /// ≤ the budget) keep it. Heat counters are halved afterwards so stale
-    /// popularity ages out over successive passes.
-    pub fn retune_dense_rows(&self, budget_bytes: usize) -> AccelRetune {
-        let floor = default_dense_threshold(self.cover.len());
-        let row_bytes = {
-            let accel = read_lock(&self.accel);
-            accel.classes as usize * accel.words_per_class * std::mem::size_of::<u64>()
-        };
-        let mut eligible: Vec<(u32, u32, u32)> = (0..self.cover.len())
-            .filter_map(|p| {
-                let deg = self.offsets[p + 1] - self.offsets[p];
-                ((deg as usize) >= floor).then(|| (self.row_heat(p as u32), deg, p as u32))
-            })
-            .collect();
-        eligible.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(b.1.cmp(&a.1)).then(a.2.cmp(&b.2)));
-        let map_bytes = self.cover.len() * std::mem::size_of::<u32>();
-        let fit = match row_bytes {
-            0 => eligible.len(),
-            _ => budget_bytes.saturating_sub(map_bytes) / row_bytes,
-        };
-        let mut rows: Vec<u32> = eligible.iter().take(fit).map(|&(_, _, p)| p).collect();
-        rows.sort_unstable();
-        let retune = self.set_dense_rows(&rows);
-        for h in &self.heat {
-            h.store(h.load(Ordering::Relaxed) / 2, Ordering::Relaxed);
-        }
-        retune
     }
 
     /// Weight of the index edge `(u, v)` for input-graph vertices, if both are
@@ -1101,12 +844,10 @@ impl<W: WeightStore> CoverIndexGraph<W> {
 }
 
 /// A sorted candidate position list prepared for repeated weight-bounded row
-/// probes ([`CoverIndexGraph::with_candidates`]): the acceleration read guard
-/// is held once for the whole batch, and the candidate scratch bitset (when
-/// built) is shared by every dense-row AND.
+/// probes ([`CoverIndexGraph::with_candidates`]): the candidate scratch
+/// bitset (when built) is shared by every dense-row AND.
 pub struct PreparedCandidates<'a, W> {
     ig: &'a CoverIndexGraph<W>,
-    accel: &'a RowAccel,
     candidates: &'a [u32],
     bits: Option<&'a FixedBitSet>,
 }
@@ -1140,13 +881,11 @@ impl<W: WeightStore> PreparedCandidates<'_, W> {
         if self.candidates.is_empty() || bound < self.ig.weights.clamp_min() {
             return false;
         }
-        match self.accel.slot(pu) {
+        let accel = &self.ig.accel;
+        match accel.slot(pu) {
             Some(slot) => {
                 kreach_obs::observe::note_dense_probe();
-                match self
-                    .accel
-                    .class_words(slot, bound, self.ig.weights.clamp_min())
-                {
+                match accel.class_words(slot, bound, self.ig.weights.clamp_min()) {
                     Some(words) => match self.bits {
                         Some(bits) => and_any(words, bits.words()),
                         None => self.candidates.iter().any(|&pv| RowAccel::probe(words, pv)),
@@ -1396,92 +1135,27 @@ mod tests {
     }
 
     #[test]
-    fn promote_demote_round_trip_is_answer_identical() {
-        let g = hub_graph(Some(10));
-        assert_eq!(g.dense_row_count(), 1, "only the hub clears threshold 10");
-        let baseline = all_answers(&g);
-        let gen0 = g.accel_generation();
-
-        assert!(g.promote_row(7), "row 7 starts sparse");
-        assert!(!g.promote_row(7), "already dense");
-        assert_eq!(g.dense_row_count(), 2);
-        assert_eq!(
-            all_answers(&g),
-            baseline,
-            "promotion must not change answers"
-        );
-
-        assert!(g.demote_row(0), "the hub can be demoted too");
-        assert_eq!(
-            all_answers(&g),
-            baseline,
-            "demotion must not change answers"
-        );
-
-        assert!(g.demote_row(7));
-        assert!(!g.demote_row(7), "already sparse");
-        assert!(!g.demote_row(99), "out of range");
-        assert_eq!(g.dense_row_count(), 0);
-        assert_eq!(all_answers(&g), baseline);
-        assert_eq!(
-            g.accel_generation(),
-            gen0 + 3,
-            "one bump per installed swap"
-        );
-    }
-
-    #[test]
-    fn set_dense_rows_reports_migrations_and_skips_noop_swaps() {
-        let g = hub_graph(Some(10));
-        let r = g.set_dense_rows(&[0, 7, 20]);
-        assert_eq!((r.promoted, r.demoted, r.dense_rows), (2, 0, 3));
-        let gen = g.accel_generation();
-        let r = g.set_dense_rows(&[0, 7, 20]);
-        assert_eq!((r.promoted, r.demoted), (0, 0));
-        assert_eq!(g.accel_generation(), gen, "no-op request installs nothing");
-        let r = g.set_dense_rows(&[7]);
-        assert_eq!((r.promoted, r.demoted, r.dense_rows), (0, 2, 1));
-        // 40-entry slot map + one row of 3 class bitsets × 1 word.
-        assert_eq!(r.accel_bytes, 40 * 4 + 3 * 8);
-    }
-
-    #[test]
-    fn retune_ranks_by_heat_and_respects_budget() {
-        let g = hub_graph(Some(usize::MAX));
-        assert_eq!(g.dense_row_count(), 0);
-        // default_dense_threshold(40) = 64, above even the hub's degree 39:
-        // no row is eligible regardless of budget.
-        let r = g.retune_dense_rows(usize::MAX / 2);
-        assert_eq!(r.dense_rows, 0, "no row reaches the break-even floor");
-
-        // A wider hub graph where two rows clear the floor.
-        let n = 2048usize;
-        let cover: Vec<VertexId> = (0..n as u32).map(VertexId).collect();
-        let mut rows: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
-        rows[0] = (1..200u32).map(|t| (t, 1)).collect();
-        rows[1] = (1000..1600u32).map(|t| (t, 2)).collect();
-        let g: CoverIndexGraph<PlainWeights> =
-            CoverIndexGraph::assemble_with_threshold(n, cover, rows, 1, Some(usize::MAX));
-        // Heat row 0 so it outranks the higher-degree row 1.
-        for _ in 0..10 {
-            g.note_row_touch(0);
+    fn dense_and_sparse_hub_rows_answer_identically() {
+        let sparse = hub_graph(Some(usize::MAX));
+        assert_eq!(sparse.dense_row_count(), 0);
+        for (threshold, dense_rows) in [(1, 3), (10, 1)] {
+            let g = hub_graph(Some(threshold));
+            assert_eq!(g.dense_row_count(), dense_rows, "threshold {threshold}");
+            assert_eq!(
+                all_answers(&g),
+                all_answers(&sparse),
+                "threshold {threshold}"
+            );
         }
-        let row_bytes = 2 * n.div_ceil(64) * 8;
-        let budget = n * 4 + row_bytes; // slot map + exactly one row
-        let r = g.retune_dense_rows(budget);
-        assert_eq!(r.dense_rows, 1, "budget admits one row");
-        assert!(r.accel_bytes <= budget, "footprint within budget");
-        assert_eq!(g.accel_parts().dense_of[0], 0, "hotter row wins the slot");
-        assert_eq!(g.row_heat(0), 5, "heat decays after a pass");
-        // With room for both, degree breaks the (now decayed-equal) tie.
-        let r = g.retune_dense_rows(n * 4 + 2 * row_bytes);
-        assert_eq!(r.dense_rows, 2);
-        assert_eq!(r.promoted, 1);
     }
 
     #[test]
     fn with_candidates_matches_per_call_probes() {
-        for g in [hub_graph(Some(10)), hub_graph(Some(usize::MAX))] {
+        for g in [
+            hub_graph(Some(1)),
+            hub_graph(Some(10)),
+            hub_graph(Some(usize::MAX)),
+        ] {
             let cands: Vec<u32> = (3..25).collect();
             for bound in 0..5u32 {
                 let grouped: Vec<(bool, bool)> = g.with_candidates(&cands, |prep| {

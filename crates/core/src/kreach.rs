@@ -7,27 +7,9 @@ use crate::vertex_cover::{CoverStrategy, VertexCover};
 use crate::weights::PackedWeights;
 use kreach_graph::intersect::{sorted_any_common, sorted_contains};
 use kreach_graph::{GraphView, VertexId};
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::sync::OnceLock;
 use std::time::Instant;
-
-/// One served query in [`HEAT_SAMPLE_PERIOD`] charges row heat — enough
-/// signal for the adaptive dense-row retuner at negligible per-query cost.
-const HEAT_SAMPLE_PERIOD: u32 = 16;
-
-thread_local! {
-    static HEAT_TICK: Cell<u32> = const { Cell::new(0) };
-}
-
-/// True on every [`HEAT_SAMPLE_PERIOD`]-th call per thread.
-#[inline]
-fn heat_sampled() -> bool {
-    HEAT_TICK.with(|t| {
-        let v = t.get().wrapping_add(1);
-        t.set(v);
-        v % HEAT_SAMPLE_PERIOD == 0
-    })
-}
 
 /// Per-thread memo of "does cover row `pu` reach any of the group's
 /// candidates within the bound" verdicts for the target-grouped Case-4 path:
@@ -472,15 +454,11 @@ impl KReachIndex {
         }
         let k = self.k;
         let ig = &self.index;
-        let sample = heat_sampled();
         let answer = match case {
             // Case 1: both in the cover — the edge (s, t) exists iff s →k t.
             QueryCase::BothInCover => {
                 let ps = ig.position(s).expect("case 1 source is covered");
                 let pt = ig.position(t).expect("case 1 target is covered");
-                if sample {
-                    ig.note_row_touch(ps);
-                }
                 ig.edge_exists_by_pos(ps, pt)
             }
             // Case 2: s in the cover, t not — so every in-neighbour of t is
@@ -489,23 +467,14 @@ impl KReachIndex {
             QueryCase::SourceInCover => {
                 let ps = ig.position(s).expect("case 2 source is covered");
                 let inn = self.pos_adj(g).in_pos(t);
-                if sample {
-                    ig.note_row_touch(ps);
-                }
                 // k ≥ 1 always holds (asserted at build), so a direct edge —
                 // ps appearing among t's in-neighbour positions — answers.
                 sorted_contains(inn, ps) || ig.any_edge_le(ps, inn, k - 1)
             }
-            // Case 3: mirror image of Case 2 through outNei(s, G); the whole
-            // out(s) scan shares one acceleration read guard.
+            // Case 3: mirror image of Case 2 through outNei(s, G).
             QueryCase::TargetInCover => {
                 let pt = ig.position(t).expect("case 3 target is covered");
                 let out = self.pos_adj(g).out_pos(s);
-                if sample {
-                    for &pu in out {
-                        ig.note_row_touch(pu);
-                    }
-                }
                 sorted_contains(out, pt) || ig.any_source_edge_le(out, pt, k - 1)
             }
             // Case 4: neither endpoint is covered; the path must leave s into
@@ -520,11 +489,6 @@ impl KReachIndex {
                     let adj = self.pos_adj(g);
                     let out = adj.out_pos(s);
                     let inn = adj.in_pos(t);
-                    if sample {
-                        for &pu in out {
-                            ig.note_row_touch(pu);
-                        }
-                    }
                     // Shared covered neighbour: s → u → t in two hops.
                     sorted_any_common(out, inn) || ig.any_pair_edge_le(out, inn, k - 2)
                 }
@@ -538,8 +502,8 @@ impl KReachIndex {
     ///
     /// For the index's own hop bound this answers every source against state
     /// prepared **once per group**: the backward candidate list `inNei(t)` is
-    /// translated once, its Case-4 scratch bitset and acceleration read guard
-    /// are built once ([`CoverIndexGraph::with_candidates`]), and per-row
+    /// translated once, its Case-4 scratch bitset is built once
+    /// ([`CoverIndexGraph::with_candidates`]), and per-row
     /// "does this covered out-neighbour reach the candidates" verdicts are
     /// memoized across the group's sources (`RowMemo`), since sources that
     /// share a target usually share hub out-neighbours. Any other hop bound
@@ -578,21 +542,12 @@ impl KReachIndex {
             for (answer, &s) in answers.iter_mut().zip(sources) {
                 let case = self.classify(s, t);
                 kreach_obs::observe::note_case(case.number());
-                let sample = heat_sampled();
                 *answer = if s == t {
                     true
                 } else if let Some(ps) = ig.position(s) {
-                    if sample {
-                        ig.note_row_touch(ps);
-                    }
                     ig.edge_exists_by_pos(ps, pt)
                 } else {
                     let out = adj.out_pos(s);
-                    if sample {
-                        for &pu in out {
-                            ig.note_row_touch(pu);
-                        }
-                    }
                     sorted_contains(out, pt) || ig.any_source_edge_le(out, pt, k - 1)
                 };
             }
@@ -608,15 +563,11 @@ impl KReachIndex {
                 for (answer, &s) in answers.iter_mut().zip(sources) {
                     let case = self.classify(s, t);
                     kreach_obs::observe::note_case(case.number());
-                    let sample = heat_sampled();
                     *answer = if s == t {
                         true
                     } else if let Some(ps) = ig.position(s) {
                         // Case 2: direct edge (ps ∈ inn) or an index edge
                         // from ps into the candidates within k−1 hops.
-                        if sample {
-                            ig.note_row_touch(ps);
-                        }
                         prep.contains(ps) || prep.row_any_le(ps, k - 1)
                     } else if k < 2 {
                         false
@@ -625,11 +576,6 @@ impl KReachIndex {
                         // `prep.contains(pu)`, a cover pair within k−2 is
                         // `prep.row_any_le(pu, k−2)` — memoized per row.
                         let out = adj.out_pos(s);
-                        if sample {
-                            for &pu in out {
-                                ig.note_row_touch(pu);
-                            }
-                        }
                         out.iter().any(|&pu| {
                             memo.get_or_insert_with(pu, || {
                                 prep.contains(pu) || prep.row_any_le(pu, k - 2)
@@ -832,14 +778,6 @@ impl KReachIndex {
     /// pre-translation part is 0 until the first query materializes it.
     pub fn accel_size_bytes(&self) -> usize {
         self.index.accel_size_bytes() + self.pos_adj.get().map_or(0, |adj| adj.size_bytes())
-    }
-
-    /// One adaptive retune pass over the dense-row acceleration: promotes the
-    /// hottest eligible cover rows and demotes the rest so the dense store
-    /// (slot map + bitsets) fits `budget_bytes`. Answers are unaffected; see
-    /// [`CoverIndexGraph::retune_dense_rows`].
-    pub fn retune_dense_rows(&self, budget_bytes: usize) -> crate::index_graph::AccelRetune {
-        self.index.retune_dense_rows(budget_bytes)
     }
 }
 
@@ -1132,25 +1070,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn served_queries_charge_row_heat() {
-        let g = crate::paper_example::paper_example_graph();
-        let index = KReachIndex::build(&g, 3, BuildOptions::default());
-        let ig = index.index_graph();
-        // Heat is sampled 1-in-16 per thread, so a few sweeps guarantee hits.
-        for _ in 0..4 {
-            for s in g.vertices() {
-                for t in g.vertices() {
-                    index.query(&g, s, t);
-                }
-            }
-        }
-        let total: u64 = (0..ig.cover_size() as u32)
-            .map(|p| ig.row_heat(p) as u64)
-            .sum();
-        assert!(total > 0, "sampled queries must accumulate row heat");
     }
 
     #[test]

@@ -68,7 +68,6 @@ pub use compact::CompactKReachIndex;
 pub use dynamic::{DynamicKReach, DynamicOptions, UpdateStats};
 pub use general_k::{ExactMultiKReach, MultiKReach};
 pub use hkreach::HkReachIndex;
-pub use index_graph::AccelRetune;
 pub use kreach::{BuildOptions, KReachIndex, QueryCase};
 pub use stats::IndexStats;
 pub use vertex_cover::{CoverStrategy, VertexCover};

@@ -18,9 +18,9 @@
 //! (unbounded) reachability baselines for the benchmark tables.
 
 use kreach_core::dynamic::{DynamicKReach, DynamicOptions, UpdateStats};
-use kreach_core::{AccelRetune, HkReachIndex, KReachIndex};
-use kreach_graph::dynamic::EdgeUpdate;
+use kreach_core::{HkReachIndex, KReachIndex};
 use kreach_graph::traversal::khop_reachable_bidirectional;
+use kreach_graph::EdgeUpdate;
 use kreach_graph::{DiGraph, GraphView, VertexId};
 use std::sync::{Arc, RwLock};
 
@@ -133,14 +133,10 @@ pub trait Reachability: Send + Sync {
         }
     }
 
-    /// Runs one adaptive retune pass over the backend's query acceleration
-    /// (dense-row promotion/demotion under `budget_bytes`), returning what
-    /// moved — or `None` when the backend has nothing tunable (the default).
-    /// Retuning must never change answers; it only re-spends the memory
-    /// budget on the rows serve-time heat says earn it.
-    fn retune_accel(&self, budget_bytes: usize) -> Option<AccelRetune> {
-        let _ = budget_bytes;
-        None
+    /// Cover rows the backend's index stores in dense (bitset) form, for
+    /// `/stats` and `/metrics`. The default reports 0.
+    fn dense_rows(&self) -> usize {
+        0
     }
 
     /// Resident acceleration bytes beyond the core index — dense-row bitset
@@ -258,8 +254,8 @@ impl<G: GraphView + 'static> Reachability for KReachBackend<G> {
             .query_group_k(self.graph.as_ref(), sources, t, k, answers)
     }
 
-    fn retune_accel(&self, budget_bytes: usize) -> Option<AccelRetune> {
-        Some(self.index.retune_dense_rows(budget_bytes))
+    fn dense_rows(&self) -> usize {
+        self.index.index_graph().dense_row_count()
     }
 
     fn accel_bytes(&self) -> usize {

@@ -11,7 +11,7 @@ use crate::casestats::CaseTally;
 use crate::histogram::LatencyHistogram;
 use crate::pool::{BatchTask, TaskKind, WorkerPool};
 use kreach_core::dynamic::UpdateStats;
-use kreach_graph::dynamic::EdgeUpdate;
+use kreach_graph::EdgeUpdate;
 use kreach_obs::observe::{CLASSES, CLASS_LABELS, RESOLUTIONS, RESOLUTION_LABELS};
 use kreach_obs::{FlightRecorder, Recorder, WindowStats};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -47,21 +47,7 @@ pub struct EngineConfig {
     /// are rejected with [`UpdateError::VertexLimitExceeded`] before
     /// anything is applied.
     pub max_vertices: usize,
-    /// Byte budget for the backend's adaptive dense-row acceleration; after
-    /// every [`ACCEL_RETUNE_INTERVAL`] served queries the engine asks the
-    /// backend to re-rank cover rows by observed probe heat and
-    /// promote/demote dense bitset rows within this budget
-    /// ([`Reachability::retune_accel`]). `0` keeps the build-time tuning
-    /// untouched.
-    pub accel_budget: usize,
 }
-
-/// Served queries between adaptive accel retune passes (see
-/// [`EngineConfig::accel_budget`]). Row heat is sampled 1-in-16 on the query
-/// path, so one interval observes a few hundred row touches — enough signal
-/// to rank rows, small enough that a shifted workload re-tunes within a few
-/// batches.
-pub const ACCEL_RETUNE_INTERVAL: u64 = 8_192;
 
 impl Default for EngineConfig {
     fn default() -> Self {
@@ -73,7 +59,6 @@ impl Default for EngineConfig {
             chunk_size: 256,
             prefetch_hot: 0,
             max_vertices: 1 << 24,
-            accel_budget: 0,
         }
     }
 }
@@ -292,14 +277,8 @@ pub struct EngineInfo {
     /// Bytes held by the backend's query acceleration (dense bitset rows
     /// plus position-space adjacency tables); `0` for backends without one.
     pub accel_bytes: usize,
-    /// Adaptive retune passes run so far (see
-    /// [`EngineConfig::accel_budget`]).
-    pub accel_retunes: u64,
-    /// Rows promoted to the dense form across all retune passes.
-    pub accel_promoted: u64,
-    /// Rows demoted to the sparse form across all retune passes.
-    pub accel_demoted: u64,
-    /// Dense rows after the most recent retune pass (`0` before the first).
+    /// Cover rows the backend's index stores in dense (bitset) form; `0`
+    /// for backends without one.
     pub accel_dense_rows: usize,
     /// Lifetime update-path counters accumulated over every mutation batch
     /// applied through the engine (rows patched/coalesced, cover repairs by
@@ -365,31 +344,15 @@ pub struct BatchEngine {
     /// Rolling windowed telemetry fed once per served batch; `None` (the
     /// default) skips the feed entirely.
     windows: Mutex<Option<Arc<WindowStats>>>,
-    /// Flight recorder for structured engine events (epoch bumps, accel
-    /// retunes); `None` (the default) records nothing.
+    /// Flight recorder for structured engine events (epoch bumps); `None`
+    /// (the default) records nothing.
     events: Mutex<Option<Arc<FlightRecorder>>>,
-    /// Byte budget for adaptive accel retuning; `0` disables it.
-    accel_budget: usize,
-    /// Retune trigger state and cumulative counters (trigger checks run once
-    /// per batch, so a plain mutex costs nothing on the query path).
-    accel_state: Mutex<AccelState>,
     /// Fast fence for the update path: when set, the durability sink has
     /// failed and [`BatchEngine::apply_updates`] refuses writes until a
     /// [`BatchEngine::probe_durability`] proves the sink healthy again.
     degraded_flag: AtomicBool,
     /// Cause, entry epoch and probe count while degraded; `None` otherwise.
     degraded: Mutex<Option<DegradedInfo>>,
-}
-
-/// Cumulative adaptive-retune bookkeeping (see
-/// [`EngineConfig::accel_budget`]).
-#[derive(Debug, Clone, Copy, Default)]
-struct AccelState {
-    served_at_last_retune: u64,
-    retunes: u64,
-    promoted: u64,
-    demoted: u64,
-    dense_rows: usize,
 }
 
 impl BatchEngine {
@@ -429,8 +392,6 @@ impl BatchEngine {
             durability: Mutex::new(None),
             windows: Mutex::new(None),
             events: Mutex::new(None),
-            accel_budget: config.accel_budget,
-            accel_state: Mutex::new(AccelState::default()),
             degraded_flag: AtomicBool::new(false),
             degraded: Mutex::new(None),
         };
@@ -546,8 +507,8 @@ impl BatchEngine {
         *self.windows.lock().expect("window sink poisoned") = Some(windows);
     }
 
-    /// Installs a flight recorder: epoch bumps and accel retunes are logged
-    /// as structured events. Replaces any previously installed recorder.
+    /// Installs a flight recorder: epoch bumps are logged as structured
+    /// events. Replaces any previously installed recorder.
     pub fn set_events(&self, events: Arc<FlightRecorder>) {
         *self.events.lock().expect("event sink poisoned") = Some(events);
     }
@@ -578,7 +539,6 @@ impl BatchEngine {
     /// calls are synchronous, so once every caller has returned, dropping
     /// the engine joins the worker pool with nothing left in flight.
     pub fn info(&self) -> EngineInfo {
-        let accel = *self.accel_state.lock().expect("accel state poisoned");
         let totals = self.totals.lock().expect("case totals poisoned");
         EngineInfo {
             backend: self.backend.name().to_string(),
@@ -597,10 +557,7 @@ impl BatchEngine {
             batched_queries: totals.batched_queries(),
             batched_groups: totals.batched_groups(),
             accel_bytes: self.backend.accel_bytes(),
-            accel_retunes: accel.retunes,
-            accel_promoted: accel.promoted,
-            accel_demoted: accel.demoted,
-            accel_dense_rows: accel.dense_rows,
+            accel_dense_rows: self.backend.dense_rows(),
             update_stats: self.update_totals(),
         }
     }
@@ -952,12 +909,10 @@ impl BatchEngine {
             span.note(format!("backend={} queries={total}", self.backend.name()));
         }
         drop(span);
-        let served_total = {
-            let mut totals = self.totals.lock().expect("case totals poisoned");
-            totals.merge(&tally);
-            totals.total()
-        };
-        self.maybe_retune_accel(served_total);
+        self.totals
+            .lock()
+            .expect("case totals poisoned")
+            .merge(&tally);
 
         let elapsed_secs = started.elapsed().as_secs_f64();
         let cache_delta = self.cache.counters().since(counters_before);
@@ -990,35 +945,6 @@ impl BatchEngine {
             resolution_counts: *tally.resolutions(),
         };
         Ok((stats, tally))
-    }
-
-    /// Runs an adaptive retune pass when one is due: a byte budget is
-    /// configured and [`ACCEL_RETUNE_INTERVAL`] queries have been served
-    /// since the last pass. Checked once per batch, after the tally merge.
-    /// The swap is answer-preserving, so no epoch bump and no cache
-    /// invalidation — only the backend's probe-vs-scan mix changes.
-    fn maybe_retune_accel(&self, served_total: u64) {
-        if self.accel_budget == 0 {
-            return;
-        }
-        let mut state = self.accel_state.lock().expect("accel state poisoned");
-        if served_total - state.served_at_last_retune < ACCEL_RETUNE_INTERVAL {
-            return;
-        }
-        if let Some(outcome) = self.backend.retune_accel(self.accel_budget) {
-            state.served_at_last_retune = served_total;
-            state.retunes += 1;
-            state.promoted += outcome.promoted as u64;
-            state.demoted += outcome.demoted as u64;
-            state.dense_rows = outcome.dense_rows;
-            self.flight_event(
-                "retune",
-                format!(
-                    "served_total={} promoted={} demoted={} dense_rows={}",
-                    served_total, outcome.promoted, outcome.demoted, outcome.dense_rows,
-                ),
-            );
-        }
     }
 }
 
@@ -1759,42 +1685,6 @@ mod tests {
         // Cached serving keeps the sequential lookup→store chain and never
         // groups (duplicate queries must hit the cache within a chunk).
         assert_eq!(cached.tally.batched_queries(), 0);
-    }
-
-    #[test]
-    fn accel_budget_triggers_retunes_and_keeps_answers_stable() {
-        let g = Arc::new(
-            GeneratorSpec::PowerLaw {
-                n: 200,
-                m: 900,
-                hubs: 4,
-            }
-            .generate(13),
-        );
-        let k = 3;
-        let engine = engine_over(
-            &g,
-            k,
-            EngineConfig {
-                workers: 2,
-                cache_capacity: 0,
-                accel_budget: 1 << 20,
-                ..Default::default()
-            },
-        );
-        assert_eq!(engine.info().accel_retunes, 0);
-        // 40 000 served queries cross the retune interval comfortably.
-        let batch = exhaustive_batch(&g, k);
-        let first = engine.run(&batch).unwrap();
-        let info = engine.info();
-        assert!(
-            info.accel_retunes >= 1,
-            "a served interval past {ACCEL_RETUNE_INTERVAL} queries must retune"
-        );
-        assert!(info.accel_bytes > 0, "served backend reports accel bytes");
-        // The promote/demote swap is answer-preserving.
-        let second = engine.run(&batch).unwrap();
-        assert_eq!(first.answers, second.answers);
     }
 
     #[test]

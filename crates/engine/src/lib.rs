@@ -65,6 +65,6 @@ pub use cache::{CacheCounters, ResultCache};
 pub use casestats::CaseTally;
 pub use engine::{
     spawn_degraded_prober, BatchEngine, BatchOutcome, DegradedInfo, DegradedProber, DurabilitySink,
-    EngineConfig, EngineError, EngineInfo, EngineStats, ACCEL_RETUNE_INTERVAL,
+    EngineConfig, EngineError, EngineInfo, EngineStats,
 };
 pub use histogram::LatencyHistogram;

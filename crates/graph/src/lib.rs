@@ -34,8 +34,6 @@
 //! * [`versioned`] — [`VersionedAdjGraph`], per-vertex sorted adjacency with
 //!   copy-on-write segments: `O(degree)` edge insertion/removal and a version
 //!   stamp, the mutable storage backend behind incremental index maintenance.
-//! * [`dynamic`] — [`DynamicGraph`], a thin wrapper over the versioned
-//!   backend that additionally keeps an edge-update log.
 //!
 //! All vertex identifiers are dense `u32` values wrapped in [`VertexId`].
 
@@ -45,7 +43,6 @@
 pub mod bitset;
 pub mod builder;
 pub mod csr;
-pub mod dynamic;
 pub mod generators;
 pub mod intersect;
 pub mod interval;
@@ -60,7 +57,6 @@ pub mod view;
 pub use bitset::FixedBitSet;
 pub use builder::GraphBuilder;
 pub use csr::DiGraph;
-pub use dynamic::DynamicGraph;
 pub use interval::IntervalList;
 pub use scc::{Condensation, SccResult};
 pub use versioned::{EdgeUpdate, VersionedAdjGraph};

@@ -3,8 +3,7 @@
 //! When a serving process dies — panic, SIGKILL drill, operator drain —
 //! the cumulative counters say *how much* happened but not *what happened
 //! last*. The [`FlightRecorder`] keeps the most recent N events (admission
-//! sheds, epoch bumps, accelerator retunes, checkpoints, slow queries,
-//! restores) in memory and serializes them as JSON-lines:
+//! sheds, epoch bumps, checkpoints, slow queries, restores) in memory and serializes them as JSON-lines:
 //!
 //! * to `<data-dir>/flightrec-<unix-millis>.jsonl` on graceful drain,
 //! * from the panic hook installed by `kreach serve --data-dir`,
@@ -27,8 +26,8 @@ use std::time::{SystemTime, UNIX_EPOCH};
 pub struct FlightEvent {
     /// Wall-clock milliseconds since the Unix epoch when the event fired.
     pub unix_millis: u64,
-    /// Stable event kind: `shed`, `epoch`, `retune`, `checkpoint`,
-    /// `slow_query`, `restore`, `drain`, `panic`, ...
+    /// Stable event kind: `shed`, `epoch`, `checkpoint`, `slow_query`,
+    /// `restore`, `drain`, `panic`, ...
     pub kind: &'static str,
     /// Free-form detail, `key=value` style.
     pub detail: String,

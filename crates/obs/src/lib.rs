@@ -34,8 +34,8 @@
 //!   [`WindowSnapshot`]s for `/metrics` gauges, the `/stats` `window`
 //!   block, and the `--stats-interval` ticker.
 //! * [`events`] — the [`FlightRecorder`]: a bounded ring of recent
-//!   structured events (sheds, epoch bumps, retunes, checkpoints, slow
-//!   queries) dumped as JSON-lines on drain, on panic, and via
+//!   structured events (sheds, epoch bumps, checkpoints, slow queries)
+//!   dumped as JSON-lines on drain, on panic, and via
 //!   `POST /debug/flightrec`.
 //! * [`durability`] — [`DurabilityStats`]: WAL append/fsync latency,
 //!   bytes/records/segments, checkpoint duration/age/size and replay

@@ -35,7 +35,7 @@ use kreach_datasets::{
     render_update_ack, UpdateOp,
 };
 use kreach_engine::{BatchEngine, Query, QueryBatch, UpdateError};
-use kreach_graph::dynamic::EdgeUpdate;
+use kreach_graph::EdgeUpdate;
 use kreach_graph::VertexId;
 use kreach_obs::observe::{CLASS_LABELS, RESOLUTION_LABELS};
 use kreach_obs::prom::{label, Exemplar, HistogramSeries, PromText};
@@ -148,8 +148,8 @@ pub struct ServerObs {
     /// Rolling 1s/10s/60s windowed telemetry, fed by every request and
     /// every engine batch.
     pub windows: Arc<WindowStats>,
-    /// Bounded ring of structured events (sheds, epoch bumps, retunes,
-    /// checkpoints, slow queries).
+    /// Bounded ring of structured events (sheds, epoch bumps, checkpoints,
+    /// slow queries).
     pub events: Arc<FlightRecorder>,
     /// WAL/checkpoint instrumentation when a durable store backs the
     /// engine; `None` for in-memory serving.
@@ -977,8 +977,7 @@ fn stats_json(shared: &Arc<Shared>) -> String {
             "\"epoch\":{},",
             "\"cache\":{{\"enabled\":{},\"entries\":{},\"hits\":{},\"misses\":{},",
             "\"neg_expired\":{},\"prefetched\":{},\"hit_rate\":{:.4}}},",
-            "\"accel\":{{\"bytes\":{},\"dense_rows\":{},\"retunes\":{},",
-            "\"rows_promoted\":{},\"rows_demoted\":{}}},",
+            "\"accel\":{{\"bytes\":{},\"dense_rows\":{}}},",
             "\"batched\":{{\"groups\":{},\"queries\":{}}},",
             "\"admission\":{{\"max_inflight\":{},\"handlers\":{},\"shutting_down\":{}}},",
             "\"window\":{},",
@@ -999,9 +998,6 @@ fn stats_json(shared: &Arc<Shared>) -> String {
         info.cache.hit_rate(),
         info.accel_bytes,
         info.accel_dense_rows,
-        info.accel_retunes,
-        info.accel_promoted,
-        info.accel_demoted,
         info.batched_groups,
         info.batched_queries,
         shared.config.max_inflight,
@@ -1262,30 +1258,15 @@ fn metrics_text(shared: &Arc<Shared>) -> String {
         tally.batched_groups(),
     );
 
-    // Adaptive acceleration: footprint and retune activity.
+    // Query acceleration footprint.
     text.gauge(
         "kreach_engine_accel_bytes",
         "Bytes held by the backend's query acceleration (dense rows + position adjacency).",
         info.accel_bytes as f64,
     );
-    text.counter(
-        "kreach_engine_accel_retunes_total",
-        "Adaptive dense-row retune passes run by the engine.",
-        info.accel_retunes,
-    );
-    text.counter(
-        "kreach_engine_accel_rows_promoted_total",
-        "Cover rows promoted to the dense bitset form by retunes.",
-        info.accel_promoted,
-    );
-    text.counter(
-        "kreach_engine_accel_rows_demoted_total",
-        "Cover rows demoted to the sparse form by retunes.",
-        info.accel_demoted,
-    );
     text.gauge(
         "kreach_engine_accel_dense_rows",
-        "Dense rows after the most recent retune pass.",
+        "Cover rows stored in dense bitset form by the served index.",
         info.accel_dense_rows as f64,
     );
 
@@ -1782,6 +1763,41 @@ mod tests {
         // Everything except the HEAD probe rode one keep-alive connection.
         assert_eq!(server.metrics().admitted, 2);
         assert_eq!(server.metrics().http_requests, 5);
+    }
+
+    #[test]
+    fn stats_and_metrics_report_the_served_dense_rows() {
+        // A hub fanning out to a 200-vertex path: the hub's index row
+        // clears the default dense-row threshold.
+        let edges = (1..=200u32)
+            .map(|i| (0, i))
+            .chain((1..200).map(|i| (i, i + 1)));
+        let g = Arc::new(DiGraph::from_edges(201, edges));
+        let index = kreach_core::KReachIndex::build(g.as_ref(), 3, Default::default());
+        let dense_rows = index.index_graph().dense_row_count();
+        assert!(dense_rows > 0, "the hub row must be dense");
+        let accel_bytes = index.accel_size_bytes();
+        let engine = Arc::new(BatchEngine::new(
+            Arc::new(kreach_engine::KReachBackend::new(g, index)),
+            EngineConfig {
+                workers: 1,
+                ..EngineConfig::default()
+            },
+        ));
+        let server = start(engine, tiny_config()).expect("bind");
+        let mut client = BlockingClient::connect(server.addr()).unwrap();
+        let stats = client.get("/stats").unwrap().body_text();
+        assert!(
+            stats.contains(&format!(
+                "\"accel\":{{\"bytes\":{accel_bytes},\"dense_rows\":{dense_rows}}}"
+            )),
+            "{stats}"
+        );
+        let metrics = client.get("/metrics").unwrap().body_text();
+        assert!(
+            metrics.contains(&format!("kreach_engine_accel_dense_rows {dense_rows}\n")),
+            "{metrics}"
+        );
     }
 
     #[test]

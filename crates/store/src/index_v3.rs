@@ -79,8 +79,8 @@ pub fn write_index_v3<W: Write>(index: &KReachIndex, w: W) -> Result<(), Storage
     c.put_u32s(SEC_OFFSETS, offsets);
     c.put_u32s(SEC_TARGETS, targets);
     c.put_bytes(SEC_WPACKED, weights.packed_bytes());
-    c.put_u32s(SEC_DENSE_OF, &accel.dense_of);
-    c.put_u64s(SEC_DENSE_WORDS, &accel.dense_words);
+    c.put_u32s(SEC_DENSE_OF, accel.dense_of);
+    c.put_u64s(SEC_DENSE_WORDS, accel.dense_words);
     c.write_to(w)
 }
 

@@ -55,7 +55,7 @@ use kreach::core::storage;
 use kreach::engine::{
     BatchEngine, DynamicKReachBackend, EngineConfig, KReachBackend, Query, QueryBatch,
 };
-use kreach::graph::dynamic::EdgeUpdate;
+use kreach::graph::EdgeUpdate;
 use kreach::obs::{Recorder, Trace};
 use kreach::prelude::*;
 use std::process::ExitCode;
@@ -111,14 +111,14 @@ fn usage() -> &'static str {
      \x20\x20\x20\x20\x20\x20\x20\x20\x20 [--hot N] [--hot-fraction F]\n\
      \x20 kreach batch <index-file> <edge-list> <queries-file> [--workers N] [--cache C]\n\
      \x20\x20\x20\x20\x20\x20\x20\x20\x20 [--neg-ttl MS] [--default-k K] [--stats-json <file>]\n\
-     \x20\x20\x20\x20\x20\x20\x20\x20\x20 [--prefetch-hot N] [--accel-budget BYTES] [--trace N]\n\
+     \x20\x20\x20\x20\x20\x20\x20\x20\x20 [--prefetch-hot N] [--trace N]\n\
      \x20 kreach update <edge-list> <update-workload> [--k K] [--workers N] [--cache C]\n\
      \x20\x20\x20\x20\x20\x20\x20\x20\x20 [--neg-ttl MS] [--stats-json <file>] [--prefetch-hot N]\n\
-     \x20\x20\x20\x20\x20\x20\x20\x20\x20 [--accel-budget BYTES] [--trace N]\n\
+     \x20\x20\x20\x20\x20\x20\x20\x20\x20 [--trace N]\n\
      \x20 kreach serve [<edge-list>] [--port P] [--host H] [--backend kreach|hk|bfs|dynamic]\n\
      \x20\x20\x20\x20\x20\x20\x20\x20\x20 [--k K] [--h H] [--workers N] [--cache C] [--neg-ttl MS]\n\
      \x20\x20\x20\x20\x20\x20\x20\x20\x20 [--handlers N] [--max-inflight N] [--max-body BYTES]\n\
-     \x20\x20\x20\x20\x20\x20\x20\x20\x20 [--prefetch-hot N] [--accel-budget BYTES] [--trace N]\n\
+     \x20\x20\x20\x20\x20\x20\x20\x20\x20 [--prefetch-hot N] [--trace N]\n\
      \x20\x20\x20\x20\x20\x20\x20\x20\x20 [--slow-query-us US] [--data-dir DIR] [--checkpoint-every SECS]\n\
      \x20\x20\x20\x20\x20\x20\x20\x20\x20 [--stats-interval SECS] [--max-wal-lag N] [--failpoints PLAN]\n\
      \x20 kreach checkpoint --data-dir <dir>\n\
@@ -474,7 +474,6 @@ fn cmd_batch(args: &[&str]) -> Result<String, String> {
             "--default-k",
             "--stats-json",
             "--prefetch-hot",
-            "--accel-budget",
             "--trace",
         ],
     )?;
@@ -486,7 +485,6 @@ fn cmd_batch(args: &[&str]) -> Result<String, String> {
     let cache: usize = parse_flag_or(args, "--cache", EngineConfig::default().cache_capacity)?;
     let neg_ttl = parse_neg_ttl(args)?;
     let prefetch_hot: usize = parse_flag_or(args, "--prefetch-hot", 0)?;
-    let accel_budget: usize = parse_flag_or(args, "--accel-budget", 0)?;
     let (trace, recorder) = parse_trace(args)?;
     // Resolved before the (possibly long) run so a malformed flag cannot
     // discard a finished batch.
@@ -514,7 +512,6 @@ fn cmd_batch(args: &[&str]) -> Result<String, String> {
             cache_capacity: cache,
             neg_ttl,
             prefetch_hot,
-            accel_budget,
             ..EngineConfig::default()
         },
         recorder.clone(),
@@ -543,7 +540,6 @@ fn cmd_update(args: &[&str]) -> Result<String, String> {
             "--neg-ttl",
             "--stats-json",
             "--prefetch-hot",
-            "--accel-budget",
             "--trace",
         ],
     )?;
@@ -559,7 +555,6 @@ fn cmd_update(args: &[&str]) -> Result<String, String> {
     let cache: usize = parse_flag_or(args, "--cache", EngineConfig::default().cache_capacity)?;
     let neg_ttl = parse_neg_ttl(args)?;
     let prefetch_hot: usize = parse_flag_or(args, "--prefetch-hot", 0)?;
-    let accel_budget: usize = parse_flag_or(args, "--accel-budget", 0)?;
     let (trace, recorder) = parse_trace(args)?;
     let stats_json = flag_value(args, "--stats-json")?;
 
@@ -578,7 +573,6 @@ fn cmd_update(args: &[&str]) -> Result<String, String> {
             cache_capacity: cache,
             neg_ttl,
             prefetch_hot,
-            accel_budget,
             ..EngineConfig::default()
         },
         recorder.clone(),
@@ -761,7 +755,6 @@ fn cmd_serve(args: &[&str]) -> Result<String, String> {
             "--max-inflight",
             "--max-body",
             "--prefetch-hot",
-            "--accel-budget",
             "--trace",
             "--slow-query-us",
             "--data-dir",
@@ -828,7 +821,6 @@ fn cmd_serve(args: &[&str]) -> Result<String, String> {
     let cache: usize = parse_flag_or(args, "--cache", EngineConfig::default().cache_capacity)?;
     let neg_ttl = parse_neg_ttl(args)?;
     let prefetch_hot: usize = parse_flag_or(args, "--prefetch-hot", 0)?;
-    let accel_budget: usize = parse_flag_or(args, "--accel-budget", 0)?;
     let server_defaults = kreach::server::ServerConfig::default();
     let handlers: usize = parse_flag_or(args, "--handlers", server_defaults.handlers)?;
     let max_inflight: usize = parse_flag_or(args, "--max-inflight", server_defaults.max_inflight)?;
@@ -935,7 +927,6 @@ fn cmd_serve(args: &[&str]) -> Result<String, String> {
             cache_capacity: cache,
             neg_ttl,
             prefetch_hot,
-            accel_budget,
             ..EngineConfig::default()
         },
         recorder.clone(),

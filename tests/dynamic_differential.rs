@@ -35,9 +35,9 @@ use kreach_core::{BuildOptions, KReachIndex};
 use kreach_engine::{
     BatchEngine, DynamicKReachBackend, EngineConfig, KReachBackend, Query, QueryBatch,
 };
-use kreach_graph::dynamic::EdgeUpdate;
 use kreach_graph::generators::GeneratorSpec;
 use kreach_graph::traversal::khop_reachable_bfs;
+use kreach_graph::EdgeUpdate;
 use kreach_graph::{DiGraph, GraphView, VersionedAdjGraph, VertexId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;

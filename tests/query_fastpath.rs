@@ -207,68 +207,6 @@ fn grouped_queries_match_per_query_across_shapes_k_and_thresholds() {
     }
 }
 
-#[test]
-fn promote_demote_round_trip_preserves_answers_and_representation() {
-    let g = GeneratorSpec::PowerLaw {
-        n: 100,
-        m: 420,
-        hubs: 4,
-    }
-    .generate(53);
-    let k = 3;
-    let index = build_with_threshold(&g, k, None);
-    let ig = index.index_graph();
-    let baseline: Vec<bool> = g
-        .vertices()
-        .flat_map(|s| g.vertices().map(move |t| (s, t)))
-        .map(|(s, t)| index.query(&g, s, t))
-        .collect();
-    let check = |label: &str| {
-        for (slot, (s, t)) in g
-            .vertices()
-            .flat_map(|s| g.vertices().map(move |t| (s, t)))
-            .enumerate()
-        {
-            assert_eq!(
-                index.query(&g, s, t),
-                baseline[slot],
-                "{label}: answer changed at ({s},{t})"
-            );
-        }
-    };
-    let original_dense = ig.dense_row_count();
-    // Promote every sparse row, then demote everything, then restore: the
-    // representation flips are invisible to query answers at every step.
-    let mut flipped_dense = Vec::new();
-    let mut flipped_sparse = Vec::new();
-    for p in 0..ig.cover_size() as u32 {
-        if ig.promote_row(p) {
-            flipped_dense.push(p);
-        }
-    }
-    assert_eq!(ig.dense_row_count(), ig.cover_size());
-    check("all dense");
-    for p in 0..ig.cover_size() as u32 {
-        if ig.demote_row(p) {
-            flipped_sparse.push(p);
-        }
-    }
-    assert_eq!(ig.dense_row_count(), 0);
-    check("all sparse");
-    // Undo: re-promote exactly the rows that started dense.
-    for p in flipped_sparse {
-        if !flipped_dense.contains(&p) {
-            assert!(ig.promote_row(p), "restoring originally-dense row {p}");
-        }
-    }
-    assert_eq!(
-        ig.dense_row_count(),
-        original_dense,
-        "round trip restores the original dense set"
-    );
-    check("restored");
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
@@ -304,37 +242,4 @@ proptest! {
         }
     }
 
-    #[test]
-    fn promote_demote_identity_on_random_graphs(
-        n in 2usize..16,
-        raw_edges in proptest::collection::vec((0u32..16, 0u32..16), 0..50),
-        k in 1u32..5,
-        flips in proptest::collection::vec((0u32..1024, proptest::bool::ANY), 0..12),
-    ) {
-        let edges: Vec<(u32, u32)> = raw_edges
-            .iter()
-            .map(|&(u, v)| (u % n as u32, v % n as u32))
-            .collect();
-        let g = DiGraph::from_edges(n, edges);
-        let index = build_with_threshold(&g, k, None);
-        let ig = index.index_graph();
-        // Any interleaving of promotions and demotions is answer-invariant.
-        for &(row, promote) in &flips {
-            let p = row % ig.cover_size().max(1) as u32;
-            if promote {
-                ig.promote_row(p);
-            } else {
-                ig.demote_row(p);
-            }
-            for s in g.vertices() {
-                for t in g.vertices() {
-                    prop_assert_eq!(
-                        index.query(&g, s, t),
-                        khop_reachable_bfs(&g, s, t, k),
-                        "after flip ({}, {}) k={} ({},{})", p, promote, k, s, t
-                    );
-                }
-            }
-        }
-    }
 }
