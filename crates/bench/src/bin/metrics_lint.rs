@@ -29,12 +29,11 @@ use std::process::ExitCode;
 
 /// Rolling-window gauge families `/metrics` must expose, each with one
 /// series per window width.
-const WINDOW_FAMILIES: [&str; 6] = [
+const WINDOW_FAMILIES: [&str; 5] = [
     "kreach_rps_window",
     "kreach_qps_window",
     "kreach_request_p50_seconds_window",
     "kreach_request_p99_seconds_window",
-    "kreach_cache_hit_rate_window",
     "kreach_shed_rate_window",
 ];
 

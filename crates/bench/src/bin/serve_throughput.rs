@@ -2,7 +2,7 @@
 //!
 //! For each dataset this sweeps the engine over worker counts {1, 2, 4, one
 //! per CPU} on one fixed random workload and reports throughput, speedup
-//! over the single-worker run, cache hit rate, and tail latency:
+//! over the single-worker run, and tail latency:
 //!
 //! ```text
 //! serve_throughput --datasets AgroCyc,ArXiv --scale 8 --queries 100000
@@ -18,16 +18,9 @@ fn main() {
     let workers = [1usize, 2, 4, 0];
     for spec in config.scaled_datasets() {
         let g = Arc::new(spec.generate(config.seed));
-        let points = serve_sweep(&g, k, config.queries, config.seed, &workers, 1 << 16);
+        let points = serve_sweep(&g, k, config.queries, config.seed, &workers);
         let base_qps = points[0].stats.queries_per_sec;
-        let mut table = Table::new([
-            "workers",
-            "queries/s",
-            "speedup",
-            "cache-hit %",
-            "p50 µs",
-            "p99 µs",
-        ]);
+        let mut table = Table::new(["workers", "queries/s", "speedup", "p50 µs", "p99 µs"]);
         for point in &points {
             let stats = &point.stats;
             table.row([
@@ -42,7 +35,6 @@ fn main() {
                 } else {
                     "-".to_string()
                 },
-                format!("{:.1}", 100.0 * stats.cache_hit_rate()),
                 format!("{:.1}", stats.p50_micros),
                 format!("{:.1}", stats.p99_micros),
             ]);

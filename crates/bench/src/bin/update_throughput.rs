@@ -3,7 +3,7 @@
 //! For each dataset this builds the dynamic k-reach backend (versioned
 //! adjacency storage: `O(degree)` mutations, no `O(m)` snapshot per
 //! update), then measures (a) pure mutation throughput (updates/sec and
-//! µs/update through the engine, including epoch-based cache invalidation)
+//! µs/update through the engine, including the epoch bump)
 //! and (b) query latency *under churn* — batches interleaved with mutation
 //! bursts, whose overlapping row patches coalesce — against the quiescent
 //! baseline. Run it at several `--scale` values to see that per-update cost

@@ -56,8 +56,8 @@ impl QueryWorkload {
     ///
     /// This models the serving-time skew the paper motivates in §4.3 — a
     /// small set of celebrity vertices appears in a disproportionate share
-    /// of real queries — and is what makes a result cache effective: uniform
-    /// pairs over a large graph essentially never repeat, hot pairs do.
+    /// of real queries: uniform pairs over a large graph essentially never
+    /// repeat, hot pairs do.
     ///
     /// # Panics
     /// Panics if the graph is empty, `hot_vertices == 0`, or `hot_fraction`

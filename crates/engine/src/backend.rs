@@ -94,15 +94,15 @@ pub struct UpdateOutcome {
     pub stats: UpdateStats,
     /// Vertex count after the batch (inserts may grow the vertex set).
     pub vertex_count: usize,
-    /// The cache epoch in force after the batch. Backends report 0; the
-    /// engine fills this in after bumping its result-cache epoch.
+    /// The mutation epoch in force after the batch. Backends report 0; the
+    /// engine fills this in after bumping its epoch.
     pub epoch: u64,
 }
 
 /// A shareable answerer of k-hop reachability queries.
 pub trait Reachability: Send + Sync {
     /// Short backend name for stats and reports.
-    fn name(&self) -> &str;
+    fn name(&self) -> &'static str;
 
     /// Number of vertices of the served graph (used for query validation;
     /// a method rather than a `&DiGraph` accessor because mutable backends
@@ -151,23 +151,13 @@ pub trait Reachability: Send + Sync {
     ///
     /// The default implementation rejects updates: backends over immutable
     /// indexes are the common case. Callers go through
-    /// [`crate::BatchEngine::apply_updates`], which also invalidates the
-    /// result cache.
+    /// [`crate::BatchEngine::apply_updates`], which also advances the
+    /// mutation epoch and appends to the write-ahead log.
     fn apply_updates(&self, updates: &[EdgeUpdate]) -> Result<UpdateOutcome, UpdateError> {
         let _ = updates;
         Err(UpdateError::Unsupported {
             backend: self.name().to_string(),
         })
-    }
-
-    /// The `n` highest out-degree vertices of the served graph — the
-    /// "celebrity" sources of §4.3, used by the engine's hot-vertex cache
-    /// prefetch ([`crate::EngineConfig::prefetch_hot`]). Ties break towards
-    /// smaller ids so the set is deterministic. The default returns no
-    /// vertices (prefetching becomes a no-op).
-    fn top_sources(&self, n: usize) -> Vec<VertexId> {
-        let _ = n;
-        Vec::new()
     }
 
     /// Whether the directed edge `(u, v)` currently exists, or `None` when
@@ -185,33 +175,14 @@ pub trait Reachability: Send + Sync {
     /// The Algorithm-2 case (1–4) this backend *would* execute for the
     /// query, or `None` when the notion does not apply (index-free backends,
     /// or a hop bound the index answers by online fallback). An O(1) cover
-    /// membership classification — the engine uses it to attribute
-    /// result-cache hits to their case, so the per-case query counters on
-    /// `/metrics` sum to the total query count. The default reports `None`.
+    /// membership classification — the engine uses it to attribute each
+    /// member of a target-grouped dispatch to its own case, so the per-case
+    /// query counters on `/metrics` sum to the total query count. The
+    /// default reports `None`.
     fn case_of(&self, s: VertexId, t: VertexId, k: u32) -> Option<u8> {
         let _ = (s, t, k);
         None
     }
-}
-
-/// The `n` highest out-degree vertices of a graph view, ties towards
-/// smaller ids. `O(|V|)` selection plus an `O(n log n)` sort of the winners
-/// — this runs on every prefetch re-warm (after each applied mutation
-/// batch), so a full-vertex sort would dominate update latency on large
-/// graphs.
-fn top_out_degree<G: GraphView>(g: &G, n: usize) -> Vec<VertexId> {
-    let mut vertices: Vec<VertexId> = g.vertices().collect();
-    let n = n.min(vertices.len());
-    if n == 0 {
-        return Vec::new();
-    }
-    let key = |v: &VertexId| (std::cmp::Reverse(g.out_degree(*v)), v.0);
-    if n < vertices.len() {
-        vertices.select_nth_unstable_by_key(n - 1, key);
-        vertices.truncate(n);
-    }
-    vertices.sort_unstable_by_key(key);
-    vertices
 }
 
 /// Serves a [`KReachIndex`] (§4 of the paper) over any storage backend.
@@ -233,7 +204,7 @@ impl<G: GraphView + 'static> KReachBackend<G> {
 }
 
 impl<G: GraphView + 'static> Reachability for KReachBackend<G> {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "k-reach"
     }
 
@@ -262,10 +233,6 @@ impl<G: GraphView + 'static> Reachability for KReachBackend<G> {
         self.index.accel_size_bytes()
     }
 
-    fn top_sources(&self, n: usize) -> Vec<VertexId> {
-        top_out_degree(self.graph.as_ref(), n)
-    }
-
     fn case_of(&self, s: VertexId, t: VertexId, k: u32) -> Option<u8> {
         (k == self.index.k()).then(|| self.index.classify(s, t).number())
     }
@@ -290,7 +257,7 @@ impl<G: GraphView + 'static> HkReachBackend<G> {
 }
 
 impl<G: GraphView + 'static> Reachability for HkReachBackend<G> {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "hk-reach"
     }
 
@@ -311,10 +278,6 @@ impl<G: GraphView + 'static> Reachability for HkReachBackend<G> {
             khop_reachable_bidirectional(self.graph.as_ref(), s, t, k)
         }
     }
-
-    fn top_sources(&self, n: usize) -> Vec<VertexId> {
-        top_out_degree(self.graph.as_ref(), n)
-    }
 }
 
 /// Index-free fallback: every query is an online bidirectional BFS. This is
@@ -334,7 +297,7 @@ impl<G: GraphView + 'static> BfsBackend<G> {
 }
 
 impl<G: GraphView + 'static> Reachability for BfsBackend<G> {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "online-bfs"
     }
 
@@ -348,10 +311,6 @@ impl<G: GraphView + 'static> Reachability for BfsBackend<G> {
 
     fn query(&self, s: VertexId, t: VertexId, k: u32) -> bool {
         khop_reachable_bidirectional(self.graph.as_ref(), s, t, k)
-    }
-
-    fn top_sources(&self, n: usize) -> Vec<VertexId> {
-        top_out_degree(self.graph.as_ref(), n)
     }
 }
 
@@ -401,7 +360,7 @@ impl DynamicKReachBackend {
 }
 
 impl Reachability for DynamicKReachBackend {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "dynamic-k-reach"
     }
 
@@ -429,10 +388,6 @@ impl Reachability for DynamicKReachBackend {
             vertex_count: state.graph().vertex_count(),
             epoch: 0,
         })
-    }
-
-    fn top_sources(&self, n: usize) -> Vec<VertexId> {
-        top_out_degree(self.read().graph(), n)
     }
 
     fn case_of(&self, s: VertexId, t: VertexId, k: u32) -> Option<u8> {

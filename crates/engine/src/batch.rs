@@ -14,14 +14,6 @@ pub struct Query {
     pub k: u32,
 }
 
-impl Query {
-    /// The cache key for this query.
-    #[inline]
-    pub(crate) fn key(&self) -> (u32, u32, u32) {
-        (self.s.0, self.t.0, self.k)
-    }
-}
-
 /// An ordered list of queries; the engine's answers come back in the same
 /// order regardless of worker count.
 ///
@@ -126,27 +118,5 @@ mod tests {
         assert_eq!(batch.queries()[0].k, 2);
         assert_eq!(batch.queries()[1].k, 7);
         assert!(!batch.is_empty());
-    }
-
-    #[test]
-    fn cache_keys_distinguish_all_three_fields() {
-        let a = Query {
-            s: VertexId(1),
-            t: VertexId(2),
-            k: 3,
-        };
-        let b = Query {
-            s: VertexId(1),
-            t: VertexId(2),
-            k: 4,
-        };
-        let c = Query {
-            s: VertexId(2),
-            t: VertexId(1),
-            k: 3,
-        };
-        assert_ne!(a.key(), b.key());
-        assert_ne!(a.key(), c.key());
-        assert_eq!(a.key(), (1, 2, 3));
     }
 }

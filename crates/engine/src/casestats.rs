@@ -3,11 +3,10 @@
 //! Every query the engine serves is classified by the hot path into one of
 //! [`CLASSES`] classes — Algorithm-2 cases 1–4, BFS fallback, or unknown —
 //! plus a [`Resolution`](kreach_obs::observe::Resolution) saying *how* the
-//! answer was produced (cache hit,
-//! dense bitset probe, sparse galloping merge, BFS, other). Workers
-//! accumulate a [`CaseTally`] per chunk and merge it into shared totals
-//! under the same lock that already guards chunk write-back, so the hot
-//! path never takes an extra lock per query.
+//! answer was produced (dense bitset probe, sparse galloping merge, BFS,
+//! other). Workers accumulate a [`CaseTally`] per chunk and merge it into
+//! shared totals under the same lock that already guards chunk write-back,
+//! so the hot path never takes an extra lock per query.
 //!
 //! The invariant consumers rely on (and `GET /metrics` exposes): the class
 //! counts always sum to the number of served queries.
@@ -78,7 +77,7 @@ impl CaseTally {
         self.batched_queries += other.batched_queries;
     }
 
-    /// Records one target-grouped dispatch of `queries` cache misses (the
+    /// Records one target-grouped dispatch of `queries` queries (the
     /// per-query classes/latencies still arrive through
     /// [`CaseTally::observe`] — these counters only say how much of the
     /// traffic went through the batched kernel rather than one-at-a-time).
@@ -92,12 +91,11 @@ impl CaseTally {
         &self.counts
     }
 
-    /// Feeds this tally's per-case counts plus the batch's cache hit/miss
-    /// deltas into a rolling window. Call once per *batch* tally, never with
-    /// lifetime totals — the window computes per-second rates by differencing
-    /// what lands in each second's slot.
-    pub fn feed_window(&self, windows: &WindowStats, cache_hits: u64, cache_misses: u64) {
-        windows.record_queries(&self.counts, cache_hits, cache_misses);
+    /// Feeds this tally's per-case counts into a rolling window. Call once
+    /// per *batch* tally, never with lifetime totals — the window computes
+    /// per-second rates by differencing what lands in each second's slot.
+    pub fn feed_window(&self, windows: &WindowStats) {
+        windows.record_queries(&self.counts);
     }
 
     /// Latency histograms per class, index-aligned with [`CLASS_LABELS`].
@@ -179,12 +177,13 @@ mod tests {
         t.observe(&obs(1, Resolution::DenseBitset, 3, 0), 100);
         t.observe(&obs(2, Resolution::SparseGallop, 0, 2), 200);
         t.observe(&obs(4, Resolution::DenseBitset, 1, 1), 300);
-        t.observe(&QueryObservation::cache_hit(Some(1)), 50);
+        t.observe(&obs(1, Resolution::Other, 0, 0), 50);
         t.observe(&obs(0, Resolution::BfsFallback, 0, 0), 5_000);
         assert_eq!(t.total(), 5);
         assert_eq!(t.counts().iter().sum::<u64>(), 5);
         assert_eq!(t.resolutions().iter().sum::<u64>(), 5);
-        // Cache hit with case attribution counts under case1, not unknown.
+        // A case-attributed query without probes counts under case1, not
+        // unknown.
         assert_eq!(t.counts()[0], 2);
         assert_eq!(t.dense_probes(), 4);
         assert_eq!(t.sparse_gallops(), 3);

@@ -5,16 +5,15 @@
 //! answers back in a single locked copy (see the `pool` module).
 
 use crate::backend::{Reachability, UpdateError, UpdateOutcome};
-use crate::batch::{Query, QueryBatch};
-use crate::cache::{CacheCounters, ResultCache};
+use crate::batch::QueryBatch;
 use crate::casestats::CaseTally;
 use crate::histogram::LatencyHistogram;
-use crate::pool::{BatchTask, TaskKind, WorkerPool};
+use crate::pool::{BatchTask, WorkerPool};
 use kreach_core::dynamic::UpdateStats;
 use kreach_graph::EdgeUpdate;
 use kreach_obs::observe::{CLASSES, CLASS_LABELS, RESOLUTIONS, RESOLUTION_LABELS};
 use kreach_obs::{FlightRecorder, Recorder, WindowStats};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -23,23 +22,9 @@ use std::time::{Duration, Instant};
 pub struct EngineConfig {
     /// Worker threads; `0` uses the number of available CPUs.
     pub workers: usize,
-    /// Total LRU result-cache capacity across shards; `0` disables caching.
-    pub cache_capacity: usize,
-    /// Number of independent cache shards (clamped to `[1, cache_capacity]`).
-    pub cache_shards: usize,
-    /// TTL for cached negative (`false`) answers; `None` keeps them until
-    /// eviction or an epoch bump. See the `cache` module docs for why only
-    /// negatives get a time bound.
-    pub neg_ttl: Option<Duration>,
     /// Queries per claimed chunk. Small enough to balance load, large enough
     /// that the per-chunk write-back lock is negligible next to query work.
     pub chunk_size: usize,
-    /// Warm the result cache with the top-n out-degree ("celebrity", §4.3)
-    /// sources at startup and after every applied mutation batch: all
-    /// hot-pair `(s, t, default_k)` answers among those n vertices are
-    /// precomputed and stored ([`CacheCounters::prefetched`] counts them).
-    /// `0` disables prefetching.
-    pub prefetch_hot: usize,
     /// Largest vertex set a mutation batch may grow the graph to. Vertex
     /// growth allocates per-vertex adjacency state, so one hostile update
     /// line (`+ 0 4294967295`) would otherwise commit gigabytes before the
@@ -53,11 +38,7 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             workers: 0,
-            cache_capacity: 1 << 16,
-            cache_shards: 16,
-            neg_ttl: None,
             chunk_size: 256,
-            prefetch_hot: 0,
             max_vertices: 1 << 24,
         }
     }
@@ -110,7 +91,7 @@ impl std::error::Error for EngineError {}
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineStats {
     /// Backend that answered the batch.
-    pub backend: String,
+    pub backend: &'static str,
     /// Worker threads in the pool.
     pub workers: usize,
     /// Queries answered.
@@ -119,12 +100,6 @@ pub struct EngineStats {
     pub elapsed_secs: f64,
     /// Throughput in queries per second.
     pub queries_per_sec: f64,
-    /// Result-cache hits during this run.
-    pub cache_hits: u64,
-    /// Result-cache misses during this run.
-    pub cache_misses: u64,
-    /// Misses caused by a negative entry outliving the configured TTL.
-    pub cache_neg_expired: u64,
     /// Median per-query latency in microseconds (2×-accurate histogram).
     pub p50_micros: f64,
     /// 99th-percentile per-query latency in microseconds.
@@ -135,8 +110,8 @@ pub struct EngineStats {
     /// [`CLASS_LABELS`] — the run's live Table-8 distribution. Sums to
     /// `queries`.
     pub case_counts: [u64; CLASSES],
-    /// Served queries by resolution (cache hit, dense bitset, sparse
-    /// gallop, BFS, other), index-aligned with [`RESOLUTION_LABELS`].
+    /// Served queries by resolution (dense bitset, sparse gallop, BFS,
+    /// other), index-aligned with [`RESOLUTION_LABELS`].
     pub resolution_counts: [u64; RESOLUTIONS],
 }
 
@@ -152,16 +127,6 @@ fn labeled_counts_json(labels: &[&str], counts: &[u64]) -> String {
 }
 
 impl EngineStats {
-    /// Cache hits as a fraction of all lookups.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
     /// The stats as a single JSON object (hand-rolled; no serializer in the
     /// hermetic build).
     pub fn to_json(&self) -> String {
@@ -169,8 +134,6 @@ impl EngineStats {
             concat!(
                 "{{\"backend\":\"{}\",\"workers\":{},\"queries\":{},",
                 "\"elapsed_secs\":{:.6},\"queries_per_sec\":{:.1},",
-                "\"cache_hits\":{},\"cache_misses\":{},\"cache_neg_expired\":{},",
-                "\"cache_hit_rate\":{:.4},",
                 "\"p50_micros\":{:.3},\"p99_micros\":{:.3},\"mean_micros\":{:.3},",
                 "\"cases\":{},\"resolutions\":{}}}"
             ),
@@ -179,10 +142,6 @@ impl EngineStats {
             self.queries,
             self.elapsed_secs,
             self.queries_per_sec,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_neg_expired,
-            self.cache_hit_rate(),
             self.p50_micros,
             self.p99_micros,
             self.mean_micros,
@@ -196,16 +155,12 @@ impl std::fmt::Display for EngineStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} · {} workers · {} queries in {:.3}s ({:.0} q/s) · \
-             cache {}/{} hits ({:.1}%) · p50 {:.1}µs p99 {:.1}µs",
+            "{} · {} workers · {} queries in {:.3}s ({:.0} q/s) · p50 {:.1}µs p99 {:.1}µs",
             self.backend,
             self.workers,
             self.queries,
             self.elapsed_secs,
             self.queries_per_sec,
-            self.cache_hits,
-            self.cache_hits + self.cache_misses,
-            100.0 * self.cache_hit_rate(),
             self.p50_micros,
             self.p99_micros,
         )?;
@@ -241,7 +196,7 @@ pub struct BatchOutcome {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineInfo {
     /// Backend name.
-    pub backend: String,
+    pub backend: &'static str,
     /// Worker threads in the pool.
     pub workers: usize,
     /// Vertex count of the served graph (may grow under mutations).
@@ -250,12 +205,6 @@ pub struct EngineInfo {
     pub default_k: u32,
     /// Current mutation epoch.
     pub epoch: u64,
-    /// Cumulative cache counters across all runs.
-    pub cache: CacheCounters,
-    /// Results currently cached across all shards.
-    pub cache_entries: usize,
-    /// Whether caching is active.
-    pub cache_enabled: bool,
     /// Queries served across the engine's lifetime (sum of
     /// [`EngineInfo::case_counts`]).
     pub served_queries: u64,
@@ -269,7 +218,7 @@ pub struct EngineInfo {
     pub dense_probes: u64,
     /// Lifetime sparse galloping intersections run by served queries.
     pub sparse_gallops: u64,
-    /// Lifetime cache misses answered through the target-grouped batched
+    /// Lifetime queries answered through the target-grouped batched
     /// kernel (each also counted in [`EngineInfo::case_counts`]).
     pub batched_queries: u64,
     /// Target groups dispatched through the batched kernel.
@@ -316,15 +265,17 @@ pub struct DegradedInfo {
 /// The concurrent batch query engine.
 ///
 /// Construction spawns the worker pool; [`BatchEngine::run`] then executes
-/// any number of batches against the shared backend, reusing the pool and
-/// the result cache across batches.
+/// any number of batches against the shared backend, reusing the pool
+/// across batches.
 pub struct BatchEngine {
     backend: Arc<dyn Reachability>,
-    cache: Arc<ResultCache>,
     pool: WorkerPool,
     chunk_size: usize,
-    prefetch_hot: usize,
     max_vertices: usize,
+    /// Mutation epoch: one bump per applied update batch. It stamps WAL
+    /// records, `/healthz` and update echoes, and survives restarts through
+    /// [`BatchEngine::restore_epoch`].
+    epoch: AtomicU64,
     /// Tracing handle threaded into every batch task; the disabled recorder
     /// in the common untraced case.
     recorder: Recorder,
@@ -356,9 +307,7 @@ pub struct BatchEngine {
 }
 
 impl BatchEngine {
-    /// Builds an engine over `backend` with the given configuration. When
-    /// [`EngineConfig::prefetch_hot`] is set the cache is warmed before the
-    /// constructor returns.
+    /// Builds an engine over `backend` with the given configuration.
     pub fn new(backend: Arc<dyn Reachability>, config: EngineConfig) -> Self {
         Self::with_recorder(backend, config, Recorder::disabled())
     }
@@ -372,19 +321,12 @@ impl BatchEngine {
         config: EngineConfig,
         recorder: Recorder,
     ) -> Self {
-        let cache = Arc::new(ResultCache::with_neg_ttl(
-            config.cache_capacity,
-            config.cache_shards,
-            config.neg_ttl,
-        ));
-        let pool = WorkerPool::new(config.effective_workers());
-        let engine = BatchEngine {
+        BatchEngine {
             backend,
-            cache,
-            pool,
+            pool: WorkerPool::new(config.effective_workers()),
             chunk_size: config.chunk_size.max(1),
-            prefetch_hot: config.prefetch_hot,
             max_vertices: config.max_vertices.max(1),
+            epoch: AtomicU64::new(0),
             recorder,
             totals: Mutex::new(CaseTally::new()),
             update_totals: Mutex::new(UpdateStats::default()),
@@ -394,53 +336,7 @@ impl BatchEngine {
             events: Mutex::new(None),
             degraded_flag: AtomicBool::new(false),
             degraded: Mutex::new(None),
-        };
-        engine.prefetch_hot_pairs();
-        engine
-    }
-
-    /// Warms the result cache with every `(s, t, default_k)` pair among the
-    /// backend's top-`prefetch_hot` out-degree sources — the §4.3 celebrity
-    /// workload's hottest keys. The pairs are answered through the worker
-    /// pool like any batch (so an n² warm set is computed in parallel, not
-    /// serially on the caller), but stores bypass the hit/miss counters
-    /// (prefetching is not traffic) and are counted in
-    /// [`CacheCounters::prefetched`]. Returns the number of entries warmed.
-    fn prefetch_hot_pairs(&self) -> u64 {
-        if self.prefetch_hot == 0 || !self.cache.is_enabled() {
-            return 0;
         }
-        // An n² warm set larger than the cache would self-evict: later
-        // stores cycle out earlier ones and the warm ends up arbitrary.
-        // Clamp the hot set so every warmed pair actually fits.
-        let fits = (self.cache.capacity() as f64).sqrt() as usize;
-        let hot = self.backend.top_sources(self.prefetch_hot.min(fits.max(1)));
-        let k = self.backend.default_k();
-        let queries: Vec<Query> = hot
-            .iter()
-            .flat_map(|&s| hot.iter().map(move |&t| Query { s, t, k }))
-            // The s == s diagonal is the identity — trivially true and
-            // answered without the cache; warming it wastes slots.
-            .filter(|q| q.s != q.t)
-            .collect();
-        if queries.is_empty() {
-            return 0;
-        }
-        let warmed = queries.len() as u64;
-        // Warming is not served traffic: no tracing, no tally.
-        let task = Arc::new(BatchTask::new(
-            Arc::new(queries),
-            Arc::clone(&self.backend),
-            Arc::clone(&self.cache),
-            TaskKind::Prefetch,
-            self.chunk_size,
-            Recorder::disabled(),
-            Vec::new(),
-        ));
-        self.pool.dispatch(&task);
-        task.wait();
-        self.cache.note_prefetched(warmed);
-        warmed
     }
 
     /// Builds an engine with default configuration.
@@ -456,11 +352,6 @@ impl BatchEngine {
     /// The served backend.
     pub fn backend(&self) -> &Arc<dyn Reachability> {
         &self.backend
-    }
-
-    /// The shared result cache (its counters are cumulative across runs).
-    pub fn cache(&self) -> &ResultCache {
-        &self.cache
     }
 
     /// The backend's preferred hop bound (for building batches from plain
@@ -487,9 +378,9 @@ impl BatchEngine {
         *self.update_totals.lock().expect("update totals poisoned")
     }
 
-    /// The current mutation epoch of the result cache.
+    /// The current mutation epoch.
     pub fn epoch(&self) -> u64 {
-        self.cache.epoch()
+        self.epoch.load(Ordering::Relaxed)
     }
 
     /// Installs the durable destination every applied mutation batch is
@@ -500,9 +391,9 @@ impl BatchEngine {
     }
 
     /// Installs a rolling-window sink: after every served batch the engine
-    /// feeds it that batch's per-case counts and cache hit/miss deltas (the
-    /// per-request latencies come from the caller — the server — which owns
-    /// end-to-end timing). Replaces any previously installed sink.
+    /// feeds it that batch's per-case counts (the per-request latencies come
+    /// from the caller — the server — which owns end-to-end timing).
+    /// Replaces any previously installed sink.
     pub fn set_windows(&self, windows: Arc<WindowStats>) {
         *self.windows.lock().expect("window sink poisoned") = Some(windows);
     }
@@ -528,11 +419,11 @@ impl BatchEngine {
     /// engine resumes at the exact pre-crash epoch instead of restarting
     /// from zero, so acked epochs never appear to regress across a restart.
     pub fn restore_epoch(&self, epoch: u64) {
-        self.cache.set_epoch(epoch);
+        self.epoch.store(epoch, Ordering::Relaxed);
     }
 
     /// Snapshot of the engine's cumulative serving state (backend, workers,
-    /// epoch, cache counters) — run-independent, for live `/stats`-style
+    /// epoch, per-case totals) — run-independent, for live `/stats`-style
     /// reporting by a network front end.
     ///
     /// Dropping the engine is the drain hook: in-flight [`BatchEngine::run`]
@@ -541,14 +432,11 @@ impl BatchEngine {
     pub fn info(&self) -> EngineInfo {
         let totals = self.totals.lock().expect("case totals poisoned");
         EngineInfo {
-            backend: self.backend.name().to_string(),
+            backend: self.backend.name(),
             workers: self.pool.workers(),
             vertex_count: self.backend.vertex_count(),
             default_k: self.backend.default_k(),
-            epoch: self.cache.epoch(),
-            cache: self.cache.counters(),
-            cache_entries: self.cache.len(),
-            cache_enabled: self.cache.is_enabled(),
+            epoch: self.epoch(),
             served_queries: totals.total(),
             case_counts: *totals.counts(),
             resolution_counts: *totals.resolutions(),
@@ -591,7 +479,7 @@ impl BatchEngine {
     fn enter_degraded(&self, cause: String) {
         let mut slot = self.degraded.lock().expect("degraded state poisoned");
         if slot.is_none() {
-            let since_epoch = self.cache.epoch();
+            let since_epoch = self.epoch();
             *slot = Some(DegradedInfo {
                 cause: cause.clone(),
                 since_epoch,
@@ -621,7 +509,7 @@ impl BatchEngine {
             .expect("durability sink poisoned")
             .clone();
         if let Some(sink) = sink {
-            if let Err(e) = sink.append(self.cache.epoch(), &[]) {
+            if let Err(e) = sink.append(self.epoch(), &[]) {
                 let mut slot = self.degraded.lock().expect("degraded state poisoned");
                 if let Some(info) = slot.as_mut() {
                     info.probes += 1;
@@ -642,7 +530,7 @@ impl BatchEngine {
                 "recovered",
                 format!(
                     "epoch={} probes={} cause={}",
-                    self.cache.epoch(),
+                    self.epoch(),
                     info.probes,
                     info.cause
                 ),
@@ -683,8 +571,7 @@ impl BatchEngine {
     }
 
     /// Applies a batch of edge mutations through the backend and, if any of
-    /// them changed the graph, bumps the result cache's epoch so no
-    /// post-mutation lookup can serve a pre-mutation answer.
+    /// them changed the graph, bumps the mutation epoch.
     ///
     /// **Ack order.** With a durability sink installed and a backend that
     /// answers [`Reachability::has_edge`], the batch is appended to the log
@@ -758,7 +645,7 @@ impl BatchEngine {
             // changes. If the disk says no, nothing was applied: the failed
             // batch is invisible, the ack never happens, and the engine
             // fences itself read-only.
-            let next_epoch = self.cache.epoch() + 1;
+            let next_epoch = self.epoch() + 1;
             if let Err(e) = sink.append(next_epoch, updates) {
                 self.enter_degraded(e.to_string());
                 return Err(UpdateError::Durability {
@@ -782,12 +669,9 @@ impl BatchEngine {
             .expect("update totals poisoned")
             .absorb(&outcome.stats);
         if outcome.stats.applied() > 0 {
-            self.cache.bump_epoch();
-            // The mutation may have reshuffled the hot set; re-warm the new
-            // epoch so celebrity traffic does not pay the invalidation.
-            self.prefetch_hot_pairs();
+            self.epoch.fetch_add(1, Ordering::Relaxed);
         }
-        outcome.epoch = self.cache.epoch();
+        outcome.epoch = self.epoch();
         if outcome.stats.applied() > 0 {
             self.flight_event(
                 "epoch",
@@ -834,8 +718,7 @@ impl BatchEngine {
     /// Executes a batch, returning answers in batch order.
     ///
     /// Answers are deterministic: for a fixed backend and batch, the answer
-    /// vector is identical for every worker count and cache configuration
-    /// (the cache stores exact results, so hits and misses agree).
+    /// vector is identical for every worker count and chunk size.
     pub fn run(&self, batch: &QueryBatch) -> Result<BatchOutcome, EngineError> {
         let mut answers = Vec::new();
         let (stats, tally) = self.run_into(batch, &mut answers)?;
@@ -877,7 +760,6 @@ impl BatchEngine {
         }
 
         let total = batch.len();
-        let counters_before = self.cache.counters();
         let started = Instant::now();
         // The batch span nests under the caller's active trace (a server
         // request) when one exists; worker spans attach below it via the
@@ -891,8 +773,6 @@ impl BatchEngine {
             let task = Arc::new(BatchTask::new(
                 batch.shared_queries(),
                 Arc::clone(&self.backend),
-                Arc::clone(&self.cache),
-                TaskKind::Serve,
                 self.chunk_size,
                 self.recorder.clone(),
                 std::mem::take(answers),
@@ -915,18 +795,17 @@ impl BatchEngine {
             .merge(&tally);
 
         let elapsed_secs = started.elapsed().as_secs_f64();
-        let cache_delta = self.cache.counters().since(counters_before);
         {
             // Feed this batch's deltas (not lifetime totals — the windows
             // difference per second, so double-feeding totals would
             // quadratically inflate the rolling rates).
             let windows = self.windows.lock().expect("window sink poisoned");
             if let Some(w) = windows.as_ref() {
-                tally.feed_window(w, cache_delta.hits, cache_delta.misses);
+                tally.feed_window(w);
             }
         }
         let stats = EngineStats {
-            backend: self.backend.name().to_string(),
+            backend: self.backend.name(),
             workers: self.pool.workers(),
             queries: total,
             elapsed_secs,
@@ -935,9 +814,6 @@ impl BatchEngine {
             } else {
                 0.0
             },
-            cache_hits: cache_delta.hits,
-            cache_misses: cache_delta.misses,
-            cache_neg_expired: cache_delta.neg_expired,
             p50_micros: latencies.p50_micros(),
             p99_micros: latencies.p99_micros(),
             mean_micros: latencies.mean_nanos() / 1e3,
@@ -1108,7 +984,6 @@ mod tests {
             k,
             EngineConfig {
                 workers: 1,
-                cache_capacity: 0,
                 ..Default::default()
             },
         )
@@ -1128,54 +1003,6 @@ mod tests {
             .unwrap();
             assert_eq!(outcome.answers, baseline.answers, "workers = {workers}");
             assert_eq!(outcome.stats.workers, workers);
-        }
-    }
-
-    #[test]
-    fn repeated_queries_hit_the_cache() {
-        let g = Arc::new(GeneratorSpec::ErdosRenyi { n: 30, m: 90 }.generate(3));
-        let engine = engine_over(
-            &g,
-            3,
-            EngineConfig {
-                workers: 2,
-                ..Default::default()
-            },
-        );
-        let hot = Query {
-            s: VertexId(0),
-            t: VertexId(7),
-            k: 3,
-        };
-        let batch = QueryBatch::new(vec![hot; 500]);
-        let outcome = engine.run(&batch).unwrap();
-        assert!(
-            outcome.stats.cache_hits > 0,
-            "500 copies of one query must hit"
-        );
-        assert_eq!(outcome.stats.cache_hits + outcome.stats.cache_misses, 500);
-        assert!(outcome.stats.cache_hit_rate() > 0.9);
-        assert!(outcome.answers.iter().all(|&a| a == outcome.answers[0]));
-    }
-
-    #[test]
-    fn cache_disabled_still_answers_correctly() {
-        let g = Arc::new(GeneratorSpec::ErdosRenyi { n: 25, m: 70 }.generate(4));
-        let k = 2;
-        let engine = engine_over(
-            &g,
-            k,
-            EngineConfig {
-                workers: 3,
-                cache_capacity: 0,
-                ..Default::default()
-            },
-        );
-        let batch = exhaustive_batch(&g, k);
-        let outcome = engine.run(&batch).unwrap();
-        assert_eq!(outcome.stats.cache_hits, 0);
-        for (q, &answer) in batch.queries().iter().zip(outcome.answers.iter()) {
-            assert_eq!(answer, khop_reachable_bfs(&g, q.s, q.t, k));
         }
     }
 
@@ -1218,26 +1045,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_reuses_cache_across_batches() {
-        let g = Arc::new(GeneratorSpec::ErdosRenyi { n: 20, m: 60 }.generate(8));
-        let engine = engine_over(
-            &g,
-            3,
-            EngineConfig {
-                workers: 2,
-                ..Default::default()
-            },
-        );
-        let batch = exhaustive_batch(&g, 3);
-        let first = engine.run(&batch).unwrap();
-        let second = engine.run(&batch).unwrap();
-        assert_eq!(first.answers, second.answers);
-        // Second pass over identical queries is answered from the cache.
-        assert_eq!(second.stats.cache_misses, 0);
-        assert_eq!(second.stats.cache_hits as usize, batch.len());
-    }
-
-    #[test]
     fn immutable_backend_rejects_updates_through_the_engine() {
         let g = Arc::new(DiGraph::from_edges(3, [(0, 1)]));
         let engine = BatchEngine::with_defaults(Arc::new(BfsBackend::new(g, 2)));
@@ -1248,12 +1055,12 @@ mod tests {
             err,
             crate::backend::UpdateError::Unsupported { .. }
         ));
-        // A failed update must not invalidate the cache.
+        // A failed update must not advance the epoch.
         assert_eq!(engine.epoch(), 0);
     }
 
     #[test]
-    fn cached_answers_are_never_served_stale_across_mutations() {
+    fn answers_flip_with_mutations_and_the_epoch_advances() {
         use crate::backend::DynamicKReachBackend;
         use kreach_core::dynamic::DynamicOptions;
 
@@ -1276,11 +1083,9 @@ mod tests {
         ]);
         let before = engine.run(&probe).unwrap();
         assert!(before.answers.iter().all(|&a| !a));
-        assert!(before.stats.cache_hits > 0, "the answer was cached");
 
         // Inserting (1, 2) flips the answer: 0→1→2 within 2 hops. The engine
-        // must reflect it immediately — a cached pre-mutation answer served
-        // now would be a correctness bug.
+        // must reflect it immediately.
         let outcome = engine
             .apply_updates(&[EdgeUpdate::Insert(VertexId(1), VertexId(2))])
             .expect("dynamic backend applies updates");
@@ -1290,7 +1095,7 @@ mod tests {
         let after = engine.run(&probe).unwrap();
         assert!(
             after.answers.iter().all(|&a| a),
-            "post-mutation lookups must not serve the stale `false`"
+            "post-mutation queries must not answer the stale `false`"
         );
 
         // Removing the edge flips it back; the epoch advances again.
@@ -1300,13 +1105,13 @@ mod tests {
         assert_eq!(engine.epoch(), 2);
         assert!(engine.run(&probe).unwrap().answers.iter().all(|&a| !a));
 
-        // A no-op batch leaves the epoch (and the warm cache) alone.
-        engine
+        // A no-op batch leaves the epoch alone.
+        let noop = engine
             .apply_updates(&[EdgeUpdate::Remove(VertexId(1), VertexId(2))])
             .unwrap();
+        assert_eq!(noop.epoch, 2);
         assert_eq!(engine.epoch(), 2);
-        let warm = engine.run(&probe).unwrap();
-        assert_eq!(warm.stats.cache_misses, 0, "no-op must not drop the cache");
+        assert!(engine.run(&probe).unwrap().answers.iter().all(|&a| !a));
     }
 
     #[test]
@@ -1353,41 +1158,6 @@ mod tests {
     }
 
     #[test]
-    fn negative_ttl_expires_false_answers_between_batches() {
-        let g = Arc::new(DiGraph::from_edges(3, [(0, 1)]));
-        let engine = BatchEngine::new(
-            Arc::new(BfsBackend::new(g, 2)),
-            EngineConfig {
-                workers: 1,
-                neg_ttl: Some(Duration::from_millis(20)),
-                ..Default::default()
-            },
-        );
-        let negative = QueryBatch::new(vec![Query {
-            s: VertexId(0),
-            t: VertexId(2),
-            k: 2,
-        }]);
-        let positive = QueryBatch::new(vec![Query {
-            s: VertexId(0),
-            t: VertexId(1),
-            k: 2,
-        }]);
-        engine.run(&negative).unwrap();
-        engine.run(&positive).unwrap();
-        std::thread::sleep(Duration::from_millis(50));
-        // The negative answer aged out; the positive one still hits.
-        let outcome = engine.run(&negative).unwrap();
-        assert_eq!(outcome.stats.cache_hits, 0);
-        assert_eq!(outcome.stats.cache_neg_expired, 1);
-        assert!(!outcome.answers[0]);
-        let outcome = engine.run(&positive).unwrap();
-        assert_eq!(outcome.stats.cache_hits, 1);
-        assert_eq!(outcome.stats.cache_neg_expired, 0);
-        assert!(outcome.stats.to_json().contains("\"cache_neg_expired\":0"));
-    }
-
-    #[test]
     fn engine_info_snapshots_serving_state() {
         let g = Arc::new(DiGraph::from_edges(4, [(0, 1), (1, 2)]));
         let engine = engine_over(
@@ -1404,89 +1174,14 @@ mod tests {
         assert_eq!(info.vertex_count, 4);
         assert_eq!(info.default_k, 2);
         assert_eq!(info.epoch, 0);
-        assert!(info.cache_enabled);
-        assert_eq!(info.cache_entries, 0);
+        assert_eq!(info.served_queries, 0);
         engine.run(&exhaustive_batch(&g, 2)).unwrap();
         let info = engine.info();
-        assert_eq!(info.cache.misses, 16);
-        assert_eq!(info.cache_entries, 16);
+        assert_eq!(info.served_queries, 16);
     }
 
     #[test]
-    fn prefetch_warms_hot_pairs_at_startup() {
-        // Vertex 0 is the hub: the top-2 out-degree sources are {0, 1}.
-        let g = Arc::new(DiGraph::from_edges(
-            6,
-            [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 3)],
-        ));
-        let engine = engine_over(
-            &g,
-            2,
-            EngineConfig {
-                workers: 1,
-                prefetch_hot: 2,
-                ..Default::default()
-            },
-        );
-        let info = engine.info();
-        assert_eq!(
-            info.cache.prefetched, 2,
-            "2x2 hot pairs minus the trivial diagonal"
-        );
-        assert_eq!(info.cache_entries, 2);
-        // Prefetching is not traffic: the counters see no lookups yet.
-        assert_eq!(info.cache.hits + info.cache.misses, 0);
-        // A batch over the hot pairs is answered entirely from the cache.
-        let hot = QueryBatch::new(vec![
-            Query {
-                s: VertexId(0),
-                t: VertexId(1),
-                k: 2,
-            },
-            Query {
-                s: VertexId(1),
-                t: VertexId(0),
-                k: 2,
-            },
-        ]);
-        let outcome = engine.run(&hot).unwrap();
-        assert_eq!(outcome.stats.cache_hits, 2);
-        assert_eq!(outcome.stats.cache_misses, 0);
-        assert_eq!(outcome.answers, vec![true, false]);
-    }
-
-    #[test]
-    fn prefetch_rewarms_after_applied_updates() {
-        use crate::backend::DynamicKReachBackend;
-        use kreach_core::dynamic::DynamicOptions;
-
-        let g = DiGraph::from_edges(4, [(0, 1), (0, 2), (1, 2)]);
-        let engine = BatchEngine::new(
-            Arc::new(DynamicKReachBackend::new(g, 2, DynamicOptions::default())),
-            EngineConfig {
-                workers: 1,
-                prefetch_hot: 2,
-                ..Default::default()
-            },
-        );
-        let warmed_at_start = engine.info().cache.prefetched;
-        assert!(warmed_at_start > 0);
-        // An applied mutation bumps the epoch and re-warms the new epoch.
-        engine
-            .apply_updates(&[EdgeUpdate::Insert(VertexId(2), VertexId(3))])
-            .unwrap();
-        let info = engine.info();
-        assert!(info.cache.prefetched > warmed_at_start);
-        // A no-op batch leaves the warm set alone.
-        let before = engine.info().cache.prefetched;
-        engine
-            .apply_updates(&[EdgeUpdate::Insert(VertexId(2), VertexId(3))])
-            .unwrap();
-        assert_eq!(engine.info().cache.prefetched, before);
-    }
-
-    #[test]
-    fn case_counts_sum_to_the_query_count_including_cache_hits() {
+    fn case_counts_sum_to_the_query_count_across_batches() {
         let g = Arc::new(GeneratorSpec::ErdosRenyi { n: 40, m: 160 }.generate(11));
         let k = 3;
         let engine = engine_over(
@@ -1505,14 +1200,12 @@ mod tests {
         assert_eq!(first.stats.resolution_counts.iter().sum::<u64>(), total);
         assert_eq!(first.tally.total(), total);
 
-        // The second pass is answered from the cache, but the backend's O(1)
-        // classifier still attributes every hit to its Algorithm-2 case:
-        // nothing lands in "unknown" and the sum invariant holds.
+        // A rerun is tallied afresh: same per-class split, and the
+        // `cache_hit` resolution (kept for label stability) stays at 0.
         let second = engine.run(&batch).unwrap();
-        assert_eq!(second.stats.cache_hits, total);
-        assert_eq!(second.stats.case_counts.iter().sum::<u64>(), total);
-        assert_eq!(second.stats.case_counts[5], 0, "no unknown on cache hits");
-        assert_eq!(second.stats.resolution_counts[0], total, "all cache hits");
+        assert_eq!(second.stats.case_counts, first.stats.case_counts);
+        assert_eq!(second.stats.resolution_counts.iter().sum::<u64>(), total);
+        assert_eq!(second.stats.resolution_counts[0], 0, "no cache hits");
 
         // Lifetime totals accumulate across runs.
         let info = engine.info();
@@ -1526,7 +1219,7 @@ mod tests {
 
         let json = second.stats.to_json();
         assert!(json.contains("\"cases\":{\"case1\":"), "{json}");
-        assert!(json.contains("\"resolutions\":{\"cache_hit\":"), "{json}");
+        assert!(json.contains("\"resolutions\":{\"cache_hit\":0,"), "{json}");
         let text = format!("{}", second.stats);
         assert!(text.contains("case"), "{text}");
     }
@@ -1619,7 +1312,7 @@ mod tests {
             "\"backend\"",
             "\"workers\":2",
             "\"queries\":16",
-            "\"cache_hit_rate\"",
+            "\"resolutions\"",
         ] {
             assert!(json.contains(field), "missing {field} in {json}");
         }
@@ -1628,7 +1321,7 @@ mod tests {
     }
 
     #[test]
-    fn grouped_uncached_dispatch_matches_cached_answers_and_is_counted() {
+    fn grouped_dispatch_matches_per_query_answers_and_is_counted() {
         let g = Arc::new(
             GeneratorSpec::PowerLaw {
                 n: 100,
@@ -1649,42 +1342,72 @@ mod tests {
             }
         }
         let batch = QueryBatch::new(queries);
-        let cached = engine_over(
-            &g,
-            k,
-            EngineConfig {
-                workers: 2,
-                ..Default::default()
-            },
+        let config = EngineConfig {
+            workers: 2,
+            chunk_size: 128,
+            ..Default::default()
+        };
+        // A traced engine answers one query at a time (per-query spans).
+        let index = KReachIndex::build(&g, k, BuildOptions::default());
+        let per_query = BatchEngine::with_recorder(
+            Arc::new(KReachBackend::new(Arc::clone(&g), index)),
+            config,
+            Recorder::new(16),
         )
         .run(&batch)
         .unwrap();
-        let uncached_engine = engine_over(
-            &g,
-            k,
-            EngineConfig {
-                workers: 2,
-                cache_capacity: 0,
-                chunk_size: 128,
-                ..Default::default()
-            },
-        );
-        let uncached = uncached_engine.run(&batch).unwrap();
+        let grouped_engine = engine_over(&g, k, config);
+        let grouped = grouped_engine.run(&batch).unwrap();
         // Byte-identical answers: grouping changes dispatch, never results.
-        assert_eq!(uncached.answers, cached.answers);
+        assert_eq!(grouped.answers, per_query.answers);
         assert!(
-            uncached.tally.batched_queries() > 0,
+            grouped.tally.batched_queries() > 0,
             "shared-target traffic must engage the batched kernel"
         );
-        assert!(uncached.tally.batched_groups() > 0);
+        assert!(grouped.tally.batched_groups() > 0);
         // Grouped queries are still tallied per class, once each.
-        assert_eq!(uncached.tally.total(), batch.len() as u64);
-        let info = uncached_engine.info();
-        assert_eq!(info.batched_queries, uncached.tally.batched_queries());
-        assert_eq!(info.batched_groups, uncached.tally.batched_groups());
-        // Cached serving keeps the sequential lookup→store chain and never
-        // groups (duplicate queries must hit the cache within a chunk).
-        assert_eq!(cached.tally.batched_queries(), 0);
+        assert_eq!(grouped.tally.total(), batch.len() as u64);
+        assert_eq!(grouped.stats.case_counts, per_query.stats.case_counts);
+        let info = grouped_engine.info();
+        assert_eq!(info.batched_queries, grouped.tally.batched_queries());
+        assert_eq!(info.batched_groups, grouped.tally.batched_groups());
+        assert_eq!(per_query.tally.batched_queries(), 0);
+    }
+
+    #[test]
+    fn default_engine_dispatches_fan_in_batches_grouped() {
+        let g = Arc::new(
+            GeneratorSpec::PowerLaw {
+                n: 200,
+                m: 900,
+                hubs: 4,
+            }
+            .generate(5),
+        );
+        let k = 3;
+        // 16 targets x 16 sources: one 256-query fan-in batch.
+        let targets: Vec<VertexId> = (0..16).map(|t| VertexId(t * 7)).collect();
+        let mut queries = Vec::new();
+        for &t in &targets {
+            for s in 0..16u32 {
+                queries.push(Query {
+                    s: VertexId(100 + s),
+                    t,
+                    k,
+                });
+            }
+        }
+        let batch = QueryBatch::new(queries);
+        assert_eq!(batch.len(), 256);
+        let engine = engine_over(&g, k, EngineConfig::default());
+        let outcome = engine.run(&batch).unwrap();
+        for (q, &answer) in batch.queries().iter().zip(&outcome.answers) {
+            assert_eq!(answer, khop_reachable_bfs(&g, q.s, q.t, k), "{q:?}");
+        }
+        assert!(
+            outcome.tally.batched_queries() > 0,
+            "default serving must run the target-grouped kernel"
+        );
     }
 
     #[test]
@@ -1696,7 +1419,6 @@ mod tests {
             k,
             EngineConfig {
                 workers: 2,
-                cache_capacity: 0,
                 ..Default::default()
             },
         );
@@ -1753,10 +1475,6 @@ mod tests {
         let snap = windows.snapshot(60);
         assert_eq!(snap.queries, 8, "batch tally reached the window");
         assert_eq!(snap.by_case.iter().sum::<u64>(), 8);
-        assert!(
-            snap.cache_hits + snap.cache_misses > 0,
-            "cache deltas reached the window"
-        );
 
         engine
             .apply_updates(&[EdgeUpdate::Remove(VertexId(1), VertexId(2))])

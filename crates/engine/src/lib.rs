@@ -16,14 +16,13 @@
 //!   `Send + Sync` and served as `Arc<dyn Reachability>`.
 //! * [`BatchEngine`] — a fixed pool of `std::thread` workers fed chunk jobs
 //!   over channels; answers come back **in batch order**, identical for
-//!   every worker count. [`BatchEngine::apply_updates`] routes graph
-//!   mutations through the backend and invalidates the result cache.
-//! * [`ResultCache`] — a sharded LRU of `(s, t, k) → bool` results with
-//!   hit/miss counters, shared by all workers and reused across batches.
-//!   Mutations bump an **epoch** stamped into every key instead of draining
-//!   shards, so invalidation is one atomic increment.
-//! * [`EngineStats`] — per-run serving report: throughput, cache hit rate,
-//!   and p50/p99 latency from power-of-two histograms.
+//!   every worker count. Unless tracing is on, each chunk is sorted by
+//!   target and every run of queries sharing a `(t, k)` is answered with
+//!   one [`Reachability::query_group`] call. [`BatchEngine::apply_updates`]
+//!   routes graph mutations through the backend and advances the mutation
+//!   epoch.
+//! * [`EngineStats`] — per-run serving report: throughput, the Table-8 case
+//!   mix, and p50/p99 latency from power-of-two histograms.
 //!
 //! ## Example
 //!
@@ -49,7 +48,6 @@
 
 pub mod backend;
 pub mod batch;
-pub mod cache;
 pub mod casestats;
 pub mod engine;
 pub mod histogram;
@@ -61,7 +59,6 @@ pub use backend::{
     UpdateOutcome,
 };
 pub use batch::{Query, QueryBatch};
-pub use cache::{CacheCounters, ResultCache};
 pub use casestats::CaseTally;
 pub use engine::{
     spawn_degraded_prober, BatchEngine, BatchOutcome, DegradedInfo, DegradedProber, DurabilitySink,

@@ -4,7 +4,7 @@
 //! Workers live for the lifetime of the pool (queries are microseconds, so
 //! per-batch thread spawning would dominate). Dispatch is **chunk-claiming**:
 //! a batch run publishes one shared [`BatchTask`] — the query list, backend,
-//! cache, and an atomic chunk cursor — and the engine hands each worker one
+//! and an atomic chunk cursor — and the engine hands each worker one
 //! handle to it. Workers claim chunks with a `fetch_add` on the cursor and
 //! write each finished chunk's answers back into the shared answer buffer in
 //! a single locked copy. Compared to the earlier one-channel-message-per-
@@ -13,7 +13,6 @@
 
 use crate::backend::Reachability;
 use crate::batch::Query;
-use crate::cache::ResultCache;
 use crate::casestats::CaseTally;
 use crate::histogram::LatencyHistogram;
 use kreach_graph::VertexId;
@@ -34,9 +33,9 @@ use std::time::Instant;
 struct WorkerScratch {
     /// Chunk answers, indexed chunk-relative.
     answers: Vec<bool>,
-    /// Chunk-relative indices of cache misses, later sorted by `(t, k)` for
-    /// target grouping.
-    misses: Vec<u32>,
+    /// Chunk-relative query indices, sorted by `(t, k, s)` for target
+    /// grouping.
+    order: Vec<u32>,
     /// Sources of the target group currently being dispatched.
     group_sources: Vec<VertexId>,
     /// Answers of the target group currently being dispatched.
@@ -47,23 +46,11 @@ thread_local! {
     static WORKER_SCRATCH: RefCell<WorkerScratch> = RefCell::new(WorkerScratch::default());
 }
 
-/// How a task's queries interact with the result cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TaskKind {
-    /// Normal serving: consult the cache first, store misses, count traffic.
-    Serve,
-    /// Cache warming: always compute and store, touching no traffic
-    /// counters (prefetching is not traffic).
-    Prefetch,
-}
-
 /// Shared state of one in-flight batch: claimed chunk by chunk, completed
 /// when every chunk's answers have been written back.
 pub(crate) struct BatchTask {
     queries: Arc<Vec<Query>>,
     backend: Arc<dyn Reachability>,
-    cache: Arc<ResultCache>,
-    kind: TaskKind,
     chunk_size: usize,
     /// Tracing handle; [`Recorder::disabled`] in the common untraced case.
     recorder: Recorder,
@@ -100,8 +87,6 @@ impl BatchTask {
     pub fn new(
         queries: Arc<Vec<Query>>,
         backend: Arc<dyn Reachability>,
-        cache: Arc<ResultCache>,
-        kind: TaskKind,
         chunk_size: usize,
         recorder: Recorder,
         mut answers: Vec<bool>,
@@ -113,8 +98,6 @@ impl BatchTask {
         answers.resize(total, false);
         BatchTask {
             backend,
-            cache,
-            kind,
             chunk_size,
             recorder,
             context,
@@ -186,13 +169,13 @@ impl BatchTask {
     }
 
     /// Answers the queries in `[start, end)` into `scratch.answers`
-    /// (chunk-relative), returning the latency histogram and per-case tally
-    /// (empty for prefetch tasks — warming is not served traffic).
+    /// (chunk-relative), returning the latency histogram and per-case tally.
     ///
-    /// Serving without a result cache dispatches through the target-grouped
-    /// batched kernel; serving with one keeps the sequential
-    /// lookup→compute→store order per query (see
-    /// [`BatchTask::answer_chunk_grouped`] for why).
+    /// Untraced serving dispatches through the target-grouped batched
+    /// kernel. A traced engine answers one query at a time instead, because
+    /// each query gets its own `engine.query` span carrying its case,
+    /// resolution and answer — a grouped call has no per-query timing or
+    /// probe signals to put in one.
     fn answer_chunk(
         &self,
         start: usize,
@@ -203,25 +186,17 @@ impl BatchTask {
         scratch.answers.resize(end - start, false);
         let mut latencies = LatencyHistogram::new();
         let mut tally = CaseTally::new();
-        if self.kind == TaskKind::Serve && !self.cache.is_enabled() && !self.recorder.is_enabled() {
-            self.answer_chunk_grouped(start, end, scratch, &mut latencies, &mut tally);
+        if self.recorder.is_enabled() {
+            self.answer_chunk_traced(start, end, scratch, &mut latencies, &mut tally);
         } else {
-            self.answer_chunk_sequential(start, end, scratch, &mut latencies, &mut tally);
+            self.answer_chunk_grouped(start, end, scratch, &mut latencies, &mut tally);
         }
         (latencies, tally)
     }
 
-    /// The per-query serve/prefetch loop: lookup, compute, store, observe —
-    /// in query order.
-    ///
-    /// This stays the cached-serving path on purpose: the cache contract
-    /// lets a duplicate query later in a chunk hit the entry its first
-    /// occurrence just stored (duplicate-heavy celebrity traffic leans on
-    /// this), and any batch-then-flush reordering of lookups around
-    /// computes would break that chaining. With a cache in front, every
-    /// grouped query would pay the lookup anyway — batching pays where
-    /// every query reaches the backend, which is the uncached path below.
-    fn answer_chunk_sequential(
+    /// The traced per-query loop: compute, observe and span each query in
+    /// order.
+    fn answer_chunk_traced(
         &self,
         start: usize,
         end: usize,
@@ -229,69 +204,35 @@ impl BatchTask {
         latencies: &mut LatencyHistogram,
         tally: &mut CaseTally,
     ) {
-        let tracing = self.recorder.is_enabled();
         for (i, query) in self.queries[start..end].iter().enumerate() {
-            let mut span = tracing.then(|| self.recorder.span_in(self.context, "engine.query"));
+            let mut span = self.recorder.span_in(self.context, "engine.query");
             let started = Instant::now();
-            // The epoch is captured per query, before the backend runs: if a
-            // mutation bumps the epoch mid-computation, this answer is
-            // stored under the pre-mutation epoch and can never be served
-            // as fresh.
-            let epoch = self.cache.epoch();
-            let answer = match self.kind {
-                TaskKind::Serve => {
-                    let mark = ProbeMark::begin();
-                    let (answer, obs) = match self.cache.lookup_at(epoch, query) {
-                        // A cache hit never reaches the backend, so the hot
-                        // path emits no signals; the backend's O(1)
-                        // classifier attributes the case instead, keeping
-                        // the per-case counters summing to the query count.
-                        Some(cached) => (
-                            cached,
-                            QueryObservation::cache_hit(
-                                self.backend.case_of(query.s, query.t, query.k),
-                            ),
-                        ),
-                        None => {
-                            let computed = self.backend.query(query.s, query.t, query.k);
-                            self.cache.store_at(epoch, query, computed);
-                            (computed, mark.observe())
-                        }
-                    };
-                    let nanos = started.elapsed().as_nanos() as u64;
-                    latencies.record(nanos);
-                    tally.observe(&obs, nanos);
-                    if let Some(span) = span.as_mut() {
-                        span.note(format!(
-                            "s={} t={} k={} case={} resolution={} answer={}",
-                            query.s.0,
-                            query.t.0,
-                            query.k,
-                            obs.case,
-                            obs.resolution.label(),
-                            answer
-                        ));
-                    }
-                    answer
-                }
-                TaskKind::Prefetch => {
-                    let computed = self.backend.query(query.s, query.t, query.k);
-                    self.cache.store_at(epoch, query, computed);
-                    latencies.record(started.elapsed().as_nanos() as u64);
-                    computed
-                }
-            };
+            let mark = ProbeMark::begin();
+            let answer = self.backend.query(query.s, query.t, query.k);
+            let obs = mark.observe();
+            let nanos = started.elapsed().as_nanos() as u64;
+            latencies.record(nanos);
+            tally.observe(&obs, nanos);
+            span.note(format!(
+                "s={} t={} k={} case={} resolution={} answer={}",
+                query.s.0,
+                query.t.0,
+                query.k,
+                obs.case,
+                obs.resolution.label(),
+                answer
+            ));
             scratch.answers[i] = answer;
         }
     }
 
-    /// Target-grouped dispatch for uncached serving: the chunk's queries are
-    /// sorted by `(t, k)` and each group of two or more is answered with one
+    /// Target-grouped dispatch: the chunk's queries are sorted by `(t, k)`
+    /// and each group of two or more is answered with one
     /// [`Reachability::query_group`] call, so per-target work (candidate
     /// translation, Case-4 scratch bitsets, lock acquisition, shared-row
     /// verdicts) is paid once per group instead of once per query.
     /// Singleton groups take the exact per-query path. Answers are
-    /// byte-identical to the sequential loop; only the dispatch shape
+    /// byte-identical to the per-query loop; only the dispatch shape
     /// differs.
     ///
     /// Group observation bookkeeping: each member is tallied to its own
@@ -309,36 +250,34 @@ impl BatchTask {
         tally: &mut CaseTally,
     ) {
         let queries = &self.queries[start..end];
-        scratch.misses.clear();
-        scratch.misses.extend(0..queries.len() as u32);
+        scratch.order.clear();
+        scratch.order.extend(0..queries.len() as u32);
         // Sort by (t, k, s): groups become contiguous and duplicate sources
         // within a group sit next to each other for the memoized kernels.
-        scratch.misses.sort_unstable_by_key(|&i| {
+        scratch.order.sort_unstable_by_key(|&i| {
             let q = &queries[i as usize];
             (q.t.0, q.k, q.s.0)
         });
         let mut at = 0usize;
-        while at < scratch.misses.len() {
-            let first = &queries[scratch.misses[at] as usize];
+        while at < scratch.order.len() {
+            let first = &queries[scratch.order[at] as usize];
             let (t, k) = (first.t, first.k);
             let mut group_end = at + 1;
-            while group_end < scratch.misses.len() {
-                let q = &queries[scratch.misses[group_end] as usize];
+            while group_end < scratch.order.len() {
+                let q = &queries[scratch.order[group_end] as usize];
                 if q.t != t || q.k != k {
                     break;
                 }
                 group_end += 1;
             }
-            let group = &scratch.misses[at..group_end];
+            let group = &scratch.order[at..group_end];
             at = group_end;
             if group.len() == 1 {
                 let i = group[0] as usize;
                 let query = &queries[i];
                 let started = Instant::now();
-                let epoch = self.cache.epoch();
                 let mark = ProbeMark::begin();
                 let computed = self.backend.query(query.s, query.t, query.k);
-                self.cache.store_at(epoch, query, computed);
                 let nanos = started.elapsed().as_nanos() as u64;
                 latencies.record(nanos);
                 tally.observe(&mark.observe(), nanos);
@@ -352,7 +291,6 @@ impl BatchTask {
             scratch.group_answers.clear();
             scratch.group_answers.resize(group.len(), false);
             let started = Instant::now();
-            let epoch = self.cache.epoch();
             let mark = ProbeMark::begin();
             self.backend
                 .query_group(&scratch.group_sources, t, k, &mut scratch.group_answers);
@@ -361,9 +299,7 @@ impl BatchTask {
             tally.note_batched_group(group.len() as u64);
             for (j, &i) in group.iter().enumerate() {
                 let query = &queries[i as usize];
-                let answer = scratch.group_answers[j];
-                self.cache.store_at(epoch, query, answer);
-                scratch.answers[i as usize] = answer;
+                scratch.answers[i as usize] = scratch.group_answers[j];
                 let obs = QueryObservation {
                     case: self
                         .backend
@@ -503,15 +439,12 @@ mod tests {
                 k: 1,
             },
         ]);
-        let cache = Arc::new(ResultCache::new(16, 2));
         let pool = WorkerPool::new(3);
         assert_eq!(pool.workers(), 3);
         // Chunk size 2 over 4 queries: two chunks, claimed by up to 2 workers.
         let task = Arc::new(BatchTask::new(
             queries,
             backend,
-            cache,
-            TaskKind::Serve,
             2,
             Recorder::disabled(),
             Vec::new(),
@@ -538,8 +471,6 @@ mod tests {
         let task = Arc::new(BatchTask::new(
             queries,
             backend,
-            Arc::new(ResultCache::disabled()),
-            TaskKind::Serve,
             1024,
             Recorder::disabled(),
             Vec::new(),
@@ -553,7 +484,7 @@ mod tests {
         /// A backend that panics on one poisoned pair.
         struct Trap;
         impl Reachability for Trap {
-            fn name(&self) -> &str {
+            fn name(&self) -> &'static str {
                 "trap"
             }
             fn vertex_count(&self) -> usize {
@@ -584,8 +515,6 @@ mod tests {
         let task = Arc::new(BatchTask::new(
             Arc::clone(&poisoned),
             Arc::clone(&backend),
-            Arc::new(ResultCache::disabled()),
-            TaskKind::Serve,
             1,
             Recorder::disabled(),
             Vec::new(),
@@ -603,8 +532,6 @@ mod tests {
         let task = Arc::new(BatchTask::new(
             clean,
             backend,
-            Arc::new(ResultCache::disabled()),
-            TaskKind::Serve,
             1,
             Recorder::disabled(),
             Vec::new(),

@@ -21,15 +21,13 @@ pub struct SweepPoint {
 /// queries at hop bound `k`, and runs the batch once per entry of `workers`.
 ///
 /// The backend (graph + index) is shared across all runs; each run gets a
-/// fresh engine — and therefore a cold cache of `cache_capacity` results —
-/// so the sweep entries are comparable.
+/// fresh engine so the sweep entries are comparable.
 pub fn serve_sweep<G: GraphView + 'static>(
     g: &Arc<G>,
     k: u32,
     queries: usize,
     seed: u64,
     workers: &[usize],
-    cache_capacity: usize,
 ) -> Vec<SweepPoint> {
     let index = KReachIndex::build(g, k, BuildOptions::default());
     let backend: Arc<dyn Reachability> = Arc::new(KReachBackend::new(Arc::clone(g), index));
@@ -42,7 +40,6 @@ pub fn serve_sweep<G: GraphView + 'static>(
                 Arc::clone(&backend),
                 EngineConfig {
                     workers: requested_workers,
-                    cache_capacity,
                     ..EngineConfig::default()
                 },
             );

@@ -108,10 +108,7 @@ fn warmed_engine_serves_batches_without_per_query_allocations() {
             // thread owns identical thread-local arenas, so the per-query
             // claim generalizes.
             workers: 1,
-            // The uncached grouped path — the configuration the throughput
-            // benchmarks serve with.
-            cache_capacity: 0,
-            ..Default::default()
+            ..EngineConfig::default()
         },
     );
 

@@ -29,7 +29,7 @@
 //!   names; log2 histogram buckets; OpenMetrics exemplars) used by the
 //!   server's `GET /metrics`.
 //! * [`window`] — lock-light sliding 1s/10s/60s windows over qps, latency
-//!   quantiles, cache hit-rate, shed-rate and the per-case mix: a ring of
+//!   quantiles, shed-rate and the per-case mix: a ring of
 //!   per-second atomic slots fed by the server and the engine, merged into
 //!   [`WindowSnapshot`]s for `/metrics` gauges, the `/stats` `window`
 //!   block, and the `--stats-interval` ticker.

@@ -85,7 +85,9 @@ pub fn probe_totals() -> (u64, u64) {
 /// How a query's answer was produced, in priority order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Resolution {
-    /// Answered from the engine's result cache; the backend never ran.
+    /// Never produced: the engine has no result cache. The variant keeps
+    /// [`RESOLUTION_LABELS`] index-stable for readers that index it by
+    /// position, so its counter always reads 0.
     CacheHit,
     /// The index answered and at least one dense bitset word was probed.
     DenseBitset,
@@ -187,20 +189,9 @@ pub struct QueryObservation {
 }
 
 impl QueryObservation {
-    /// An observation for a cache hit, optionally case-attributed by the
-    /// backend's O(1) classifier (`Reachability::case_of`).
-    pub fn cache_hit(case: Option<u8>) -> QueryObservation {
-        QueryObservation {
-            case: case.unwrap_or(0),
-            resolution: Resolution::CacheHit,
-            dense_probes: 0,
-            sparse_gallops: 0,
-        }
-    }
-
     /// The class this query counts under, indexing [`CLASS_LABELS`]:
-    /// cases 1–4 map to 0–3 (whatever the resolution, cache hits
-    /// included), BFS fallbacks to 4, everything else to 5.
+    /// cases 1–4 map to 0–3 (whatever the resolution), BFS fallbacks to 4,
+    /// everything else to 5.
     pub fn class_index(&self) -> usize {
         match (self.case, self.resolution) {
             (1..=4, _) => self.case as usize - 1,
@@ -262,13 +253,20 @@ mod tests {
     }
 
     #[test]
-    fn cache_hits_take_the_backend_classification() {
-        let hit = QueryObservation::cache_hit(Some(3));
-        assert_eq!(hit.resolution, Resolution::CacheHit);
-        assert_eq!(hit.class_index(), 2);
-        let unclassified = QueryObservation::cache_hit(None);
+    fn attributed_cases_outrank_the_resolution() {
+        // A target-grouped member takes its case from the backend's
+        // classifier and its resolution from the group.
+        let member = QueryObservation {
+            case: 3,
+            resolution: Resolution::Other,
+            dense_probes: 0,
+            sparse_gallops: 0,
+        };
+        assert_eq!(member.class_index(), 2);
+        let unclassified = QueryObservation { case: 0, ..member };
         assert_eq!(unclassified.class_index(), 5);
         assert_eq!(Resolution::CacheHit.label(), "cache_hit");
+        assert_eq!(Resolution::CacheHit.index(), 0);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! re-stamps it (zeroing the counters left over from one ring revolution
 //! ago), and bumps counters — no locks anywhere on the hot path. A reader
 //! merges the slots stamped inside the requested window into a
-//! [`WindowSnapshot`] of qps, latency quantiles, cache hit-rate, shed-rate
-//! and the per-case query mix.
+//! [`WindowSnapshot`] of qps, latency quantiles, shed-rate and the
+//! per-case query mix.
 //!
 //! ## Accuracy contract
 //!
@@ -55,8 +55,6 @@ struct Slot {
     requests: AtomicU64,
     shed: AtomicU64,
     queries: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
     by_case: [AtomicU64; CLASSES],
     lat_buckets: [AtomicU64; BUCKETS],
     lat_sum_nanos: AtomicU64,
@@ -70,8 +68,6 @@ impl Slot {
             requests: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             queries: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
             by_case: std::array::from_fn(|_| AtomicU64::new(0)),
             lat_buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             lat_sum_nanos: AtomicU64::new(0),
@@ -83,8 +79,6 @@ impl Slot {
         self.requests.store(0, Ordering::Relaxed);
         self.shed.store(0, Ordering::Relaxed);
         self.queries.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
-        self.cache_misses.store(0, Ordering::Relaxed);
         for c in &self.by_case {
             c.store(0, Ordering::Relaxed);
         }
@@ -163,9 +157,8 @@ impl WindowStats {
     }
 
     /// Records a batch of answered queries (the engine feed): per-class
-    /// counts (indexing [`CLASS_LABELS`]) plus the batch's cache hit/miss
-    /// split.
-    pub fn record_queries(&self, by_case: &[u64; CLASSES], cache_hits: u64, cache_misses: u64) {
+    /// counts indexing [`CLASS_LABELS`].
+    pub fn record_queries(&self, by_case: &[u64; CLASSES]) {
         let slot = self.slot(self.now_sec());
         let mut total = 0u64;
         for (acc, &n) in slot.by_case.iter().zip(by_case) {
@@ -175,12 +168,6 @@ impl WindowStats {
             total += n;
         }
         slot.queries.fetch_add(total, Ordering::Relaxed);
-        if cache_hits > 0 {
-            slot.cache_hits.fetch_add(cache_hits, Ordering::Relaxed);
-        }
-        if cache_misses > 0 {
-            slot.cache_misses.fetch_add(cache_misses, Ordering::Relaxed);
-        }
     }
 
     /// Merges the last `window_secs` seconds (current partial second
@@ -202,8 +189,6 @@ impl WindowStats {
             snap.requests += slot.requests.load(Ordering::Relaxed);
             snap.shed += slot.shed.load(Ordering::Relaxed);
             snap.queries += slot.queries.load(Ordering::Relaxed);
-            snap.cache_hits += slot.cache_hits.load(Ordering::Relaxed);
-            snap.cache_misses += slot.cache_misses.load(Ordering::Relaxed);
             for (acc, case) in snap.by_case.iter_mut().zip(&slot.by_case) {
                 *acc += case.load(Ordering::Relaxed);
             }
@@ -253,10 +238,6 @@ pub struct WindowSnapshot {
     pub shed: u64,
     /// Reachability queries answered inside the window.
     pub queries: u64,
-    /// Engine cache hits inside the window.
-    pub cache_hits: u64,
-    /// Engine cache misses inside the window.
-    pub cache_misses: u64,
     /// Queries per class (indexing [`CLASS_LABELS`]) inside the window.
     pub by_case: [u64; CLASSES],
     /// Median request latency in microseconds (bucket upper bound).
@@ -275,8 +256,6 @@ impl WindowSnapshot {
             requests: 0,
             shed: 0,
             queries: 0,
-            cache_hits: 0,
-            cache_misses: 0,
             by_case: [0; CLASSES],
             p50_micros: 0.0,
             p99_micros: 0.0,
@@ -292,16 +271,6 @@ impl WindowSnapshot {
     /// Queries per second over the window.
     pub fn qps(&self) -> f64 {
         self.queries as f64 / self.window_secs as f64
-    }
-
-    /// Cache hits / lookups inside the window (0 when idle).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let lookups = self.cache_hits + self.cache_misses;
-        if lookups == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / lookups as f64
-        }
     }
 
     /// Shed connections / (served + shed) inside the window (0 when idle).
@@ -337,7 +306,7 @@ impl WindowSnapshot {
             concat!(
                 "{{\"window_secs\":{},\"requests\":{},\"shed\":{},\"queries\":{},",
                 "\"rps\":{:.1},\"qps\":{:.1},",
-                "\"cache_hit_rate\":{:.4},\"shed_rate\":{:.4},",
+                "\"shed_rate\":{:.4},",
                 "\"p50_micros\":{:.3},\"p99_micros\":{:.3},\"mean_micros\":{:.3},",
                 "\"by_case\":{{{}}}}}"
             ),
@@ -347,7 +316,6 @@ impl WindowSnapshot {
             self.queries,
             self.rps(),
             self.qps(),
-            self.cache_hit_rate(),
             self.shed_rate(),
             self.p50_micros,
             self.p99_micros,
@@ -359,13 +327,12 @@ impl WindowSnapshot {
     /// A one-line human rendering for the `--stats-interval` stderr ticker.
     pub fn ticker_line(&self) -> String {
         format!(
-            "window[{}s] rps={:.1} qps={:.1} p50={:.0}us p99={:.0}us hit={:.0}% shed={:.0}%",
+            "window[{}s] rps={:.1} qps={:.1} p50={:.0}us p99={:.0}us shed={:.0}%",
             self.window_secs,
             self.rps(),
             self.qps(),
             self.p50_micros,
             self.p99_micros,
-            self.cache_hit_rate() * 100.0,
             self.shed_rate() * 100.0,
         )
     }
@@ -401,17 +368,16 @@ mod tests {
     }
 
     #[test]
-    fn query_feed_accumulates_cases_and_cache() {
+    fn query_feed_accumulates_cases() {
         let w = WindowStats::new();
         let mut by_case = [0u64; CLASSES];
         by_case[0] = 3;
         by_case[3] = 1;
-        w.record_queries(&by_case, 2, 2);
+        w.record_queries(&by_case);
         let snap = w.snapshot(60);
         assert_eq!(snap.queries, 4);
         assert_eq!(snap.by_case[0], 3);
         assert_eq!(snap.by_case[3], 1);
-        assert!((snap.cache_hit_rate() - 0.5).abs() < 1e-9);
         assert!((snap.case_share(0) - 0.75).abs() < 1e-9);
         assert!(snap.qps() > 0.0);
     }

@@ -17,9 +17,9 @@
 //!     path; the response body is byte-identical to `kreach batch` output
 //!     for the same workload.
 //!   * `POST /update` — a mixed stream in the `kreach update` grammar
-//!     (`+ u v` / `- u v` / `s t [k]`); mutations bump the engine's cache
-//!     epoch, so every later query on any connection reflects them.
-//!   * `GET /stats` — engine snapshot, cache counters and server metrics
+//!     (`+ u v` / `- u v` / `s t [k]`); mutations bump the engine's
+//!     epoch, and every later query on any connection reflects them.
+//!   * `GET /stats` — engine snapshot, per-case totals and server metrics
 //!     as JSON; `GET /healthz` — liveness probe.
 //!   * `POST /shutdown` — begin a graceful drain.
 //! * **Line protocol**: any first line that is not an HTTP request line is

@@ -966,8 +966,8 @@ fn window_block_json(windows: &WindowStats) -> String {
     format!("{{{blocks}}}")
 }
 
-/// The `/stats` document: engine snapshot + cache counters + rolling
-/// windows + server metrics, as one JSON object.
+/// The `/stats` document: engine snapshot + rolling windows + server
+/// metrics, as one JSON object.
 fn stats_json(shared: &Arc<Shared>) -> String {
     let info = shared.engine.info();
     let metrics = shared.snapshot();
@@ -975,8 +975,6 @@ fn stats_json(shared: &Arc<Shared>) -> String {
         concat!(
             "{{\"backend\":\"{}\",\"workers\":{},\"vertex_count\":{},\"default_k\":{},",
             "\"epoch\":{},",
-            "\"cache\":{{\"enabled\":{},\"entries\":{},\"hits\":{},\"misses\":{},",
-            "\"neg_expired\":{},\"prefetched\":{},\"hit_rate\":{:.4}}},",
             "\"accel\":{{\"bytes\":{},\"dense_rows\":{}}},",
             "\"batched\":{{\"groups\":{},\"queries\":{}}},",
             "\"admission\":{{\"max_inflight\":{},\"handlers\":{},\"shutting_down\":{}}},",
@@ -989,13 +987,6 @@ fn stats_json(shared: &Arc<Shared>) -> String {
         info.vertex_count,
         info.default_k,
         info.epoch,
-        info.cache_enabled,
-        info.cache_entries,
-        info.cache.hits,
-        info.cache.misses,
-        info.cache.neg_expired,
-        info.cache.prefetched,
-        info.cache.hit_rate(),
         info.accel_bytes,
         info.accel_dense_rows,
         info.batched_groups,
@@ -1249,7 +1240,7 @@ fn metrics_text(shared: &Arc<Shared>) -> String {
     );
     text.counter(
         "kreach_engine_batched_queries_total",
-        "Cache misses answered through the target-grouped batched kernel.",
+        "Queries answered through the target-grouped batched kernel.",
         tally.batched_queries(),
     );
     text.counter(
@@ -1270,32 +1261,7 @@ fn metrics_text(shared: &Arc<Shared>) -> String {
         info.accel_dense_rows as f64,
     );
 
-    // Result cache and mutation epoch.
-    text.counter(
-        "kreach_cache_hits_total",
-        "Result-cache hits.",
-        info.cache.hits,
-    );
-    text.counter(
-        "kreach_cache_misses_total",
-        "Result-cache misses.",
-        info.cache.misses,
-    );
-    text.counter(
-        "kreach_cache_prefetched_total",
-        "Results inserted by hot-pair prefetch.",
-        info.cache.prefetched,
-    );
-    text.counter(
-        "kreach_cache_neg_expired_total",
-        "Negative entries expired by TTL.",
-        info.cache.neg_expired,
-    );
-    text.gauge(
-        "kreach_cache_entries",
-        "Entries resident in the result cache.",
-        info.cache_entries as f64,
-    );
+    // Mutation epoch.
     text.gauge(
         "kreach_engine_epoch",
         "Mutation epoch (bumped by every applied update batch).",
@@ -1364,7 +1330,7 @@ fn metrics_text(shared: &Arc<Shared>) -> String {
         snaps.iter().map(|s| (wlabel(s), f(s))).collect()
     };
     type WindowGauge<'a> = (&'a str, &'a str, &'a dyn Fn(&WindowSnapshot) -> f64);
-    let families: [WindowGauge; 6] = [
+    let families: [WindowGauge; 5] = [
         (
             "kreach_rps_window",
             "Requests per second over the rolling window.",
@@ -1384,11 +1350,6 @@ fn metrics_text(shared: &Arc<Shared>) -> String {
             "kreach_request_p99_seconds_window",
             "99th-percentile request latency over the rolling window, in seconds.",
             &|s| s.p99_micros / 1e6,
-        ),
-        (
-            "kreach_cache_hit_rate_window",
-            "Result-cache hit rate over the rolling window.",
-            &WindowSnapshot::cache_hit_rate,
         ),
         (
             "kreach_shed_rate_window",
@@ -1744,7 +1705,6 @@ mod tests {
         for field in [
             "\"backend\":\"online-bfs\"",
             "\"vertex_count\":4",
-            "\"cache\":{",
             "\"accel\":{\"bytes\":",
             "\"batched\":{\"groups\":",
             "\"admission\":{\"max_inflight\":8",
@@ -2295,7 +2255,6 @@ mod tests {
             "kreach_qps_window",
             "kreach_request_p50_seconds_window",
             "kreach_request_p99_seconds_window",
-            "kreach_cache_hit_rate_window",
             "kreach_shed_rate_window",
         ] {
             assert_eq!(scrape.type_of(family), Some("gauge"), "{family}");

@@ -24,7 +24,7 @@
 //!   tracing, per-case latency accounting, the slow-query log, and the
 //!   Prometheus text renderer behind `GET /metrics`.
 //! * [`engine`] ([`kreach_engine`]) — the serving layer: a concurrent batch
-//!   query engine with a fixed worker pool and a sharded LRU result cache.
+//!   query engine with a fixed worker pool and target-grouped dispatch.
 //! * [`server`] ([`kreach_server`]) — the network front end: an HTTP/1.1 +
 //!   line-protocol listener over the batch engine with admission control
 //!   and graceful drain (`kreach serve`).

@@ -12,18 +12,18 @@
 //!   [`kreach::core::kreach::KReachIndex::explain`].
 //! * `kreach workload <edge-list> --queries N --output <file> [--seed S] [--k K]`
 //!   — generate a uniform random query workload file for batch serving.
-//! * `kreach batch <index-file> <edge-list> <queries-file> [--workers N] [--cache C]`
+//! * `kreach batch <index-file> <edge-list> <queries-file> [--workers N]`
 //!   — answer a whole workload through the concurrent batch engine; answers
 //!   print to stdout (byte-identical for every worker count), the
 //!   [`EngineStats`] serving report goes to stderr.
 //! * `kreach bench-serve [--dataset D] [--scale F] [--k K] [--queries N] [--workers a,b,..]`
 //!   — build an index over a generated dataset, sweep worker counts over one
 //!   workload, and emit throughput (queries/sec) as JSON.
-//! * `kreach update <edge-list> <update-workload> [--k K] [--workers N] [--cache C]`
+//! * `kreach update <edge-list> <update-workload> [--k K] [--workers N]`
 //!   — serve a *mixed* workload that interleaves query batches with edge
 //!   insertions/removals (`+ u v` / `- u v` lines): the k-reach index is
-//!   maintained incrementally and the result cache is epoch-invalidated, so
-//!   every answer reflects all mutations before it.
+//!   maintained incrementally and every applied mutation advances the
+//!   epoch, so every answer reflects all mutations before it.
 //! * `kreach serve <edge-list> --port P [--workers N] [--backend kreach|hk|bfs|dynamic]`
 //!   — serve live network traffic: an HTTP/1.1 + line-protocol front end
 //!   over the batch engine with admission control (`--max-inflight`,
@@ -38,15 +38,12 @@
 //! * `kreach restore --data-dir <dir>` — verify the durable state
 //!   (checksums + WAL replay) and report the epoch a start would resume at.
 //!
-//! The serving commands (`batch`, `update`, `serve`) accept `--neg-ttl MS`,
-//! a time-to-live in milliseconds for cached *negative* answers, and
-//! `--prefetch-hot N`, which warms the result cache with all pairs among the
-//! top-N out-degree ("celebrity") vertices at startup and after mutations.
-//! They also accept `--trace N`, which turns on the structured span recorder
-//! ([`kreach::obs::Recorder`]) and prints the N slowest traces as indented
-//! span trees on stderr after the run; `serve` additionally takes
-//! `--slow-query-us US`, logging every request slower than US microseconds
-//! to an in-memory ring dumped by `GET /stats?slow=1`.
+//! The serving commands (`batch`, `update`, `serve`) accept `--trace N`,
+//! which turns on the structured span recorder ([`kreach::obs::Recorder`])
+//! and prints the N slowest traces as indented span trees on stderr after
+//! the run; `serve` additionally takes `--slow-query-us US`, logging every
+//! request slower than US microseconds to an in-memory ring dumped by
+//! `GET /stats?slow=1`.
 //!
 //! Unknown `--flags` are rejected with an error rather than ignored.
 
@@ -109,22 +106,19 @@ fn usage() -> &'static str {
      \x20 kreach query <index-file> <edge-list> <s> <t>\n\
      \x20 kreach workload <edge-list> --queries <N> --output <file> [--seed S] [--k K]\n\
      \x20\x20\x20\x20\x20\x20\x20\x20\x20 [--hot N] [--hot-fraction F]\n\
-     \x20 kreach batch <index-file> <edge-list> <queries-file> [--workers N] [--cache C]\n\
-     \x20\x20\x20\x20\x20\x20\x20\x20\x20 [--neg-ttl MS] [--default-k K] [--stats-json <file>]\n\
-     \x20\x20\x20\x20\x20\x20\x20\x20\x20 [--prefetch-hot N] [--trace N]\n\
-     \x20 kreach update <edge-list> <update-workload> [--k K] [--workers N] [--cache C]\n\
-     \x20\x20\x20\x20\x20\x20\x20\x20\x20 [--neg-ttl MS] [--stats-json <file>] [--prefetch-hot N]\n\
-     \x20\x20\x20\x20\x20\x20\x20\x20\x20 [--trace N]\n\
+     \x20 kreach batch <index-file> <edge-list> <queries-file> [--workers N]\n\
+     \x20\x20\x20\x20\x20\x20\x20\x20\x20 [--default-k K] [--stats-json <file>] [--trace N]\n\
+     \x20 kreach update <edge-list> <update-workload> [--k K] [--workers N]\n\
+     \x20\x20\x20\x20\x20\x20\x20\x20\x20 [--stats-json <file>] [--trace N]\n\
      \x20 kreach serve [<edge-list>] [--port P] [--host H] [--backend kreach|hk|bfs|dynamic]\n\
-     \x20\x20\x20\x20\x20\x20\x20\x20\x20 [--k K] [--h H] [--workers N] [--cache C] [--neg-ttl MS]\n\
-     \x20\x20\x20\x20\x20\x20\x20\x20\x20 [--handlers N] [--max-inflight N] [--max-body BYTES]\n\
-     \x20\x20\x20\x20\x20\x20\x20\x20\x20 [--prefetch-hot N] [--trace N]\n\
+     \x20\x20\x20\x20\x20\x20\x20\x20\x20 [--k K] [--h H] [--workers N]\n\
+     \x20\x20\x20\x20\x20\x20\x20\x20\x20 [--handlers N] [--max-inflight N] [--max-body BYTES] [--trace N]\n\
      \x20\x20\x20\x20\x20\x20\x20\x20\x20 [--slow-query-us US] [--data-dir DIR] [--checkpoint-every SECS]\n\
      \x20\x20\x20\x20\x20\x20\x20\x20\x20 [--stats-interval SECS] [--max-wal-lag N] [--failpoints PLAN]\n\
      \x20 kreach checkpoint --data-dir <dir>\n\
      \x20 kreach restore --data-dir <dir>\n\
      \x20 kreach bench-serve [--dataset D] [--scale F] [--k K] [--queries N]\n\
-     \x20\x20\x20\x20\x20\x20\x20\x20\x20 [--workers a,b,..] [--cache C] [--seed S]"
+     \x20\x20\x20\x20\x20\x20\x20\x20\x20 [--workers a,b,..] [--seed S]"
 }
 
 /// Pulls the value following `flag` out of `args`, if present.
@@ -397,8 +391,7 @@ fn cmd_workload(args: &[&str]) -> Result<String, String> {
     }
     let config = WorkloadConfig { queries, seed };
     // --hot N skews the workload onto the N highest-degree ("celebrity")
-    // vertices, the query shape that makes the batch engine's result cache
-    // effective; without it every pair over a large graph is unique.
+    // vertices of §4.3; without it every pair over a large graph is unique.
     let workload = if hot > 0 {
         QueryWorkload::skewed(&g, config, hot, hot_fraction)
     } else {
@@ -417,12 +410,6 @@ fn cmd_workload(args: &[&str]) -> Result<String, String> {
         },
         output
     ))
-}
-
-/// Parses `--neg-ttl MS` (milliseconds; 0 or absent disables it).
-fn parse_neg_ttl(args: &[&str]) -> Result<Option<std::time::Duration>, String> {
-    let millis: u64 = parse_flag_or(args, "--neg-ttl", 0)?;
-    Ok((millis > 0).then(|| std::time::Duration::from_millis(millis)))
 }
 
 /// Per-thread span-ring capacity when `--trace` is on. Sized so a serving
@@ -467,24 +454,13 @@ fn print_slowest_traces(recorder: &Recorder, n: usize) {
 fn cmd_batch(args: &[&str]) -> Result<String, String> {
     ensure_known_flags(
         args,
-        &[
-            "--workers",
-            "--cache",
-            "--neg-ttl",
-            "--default-k",
-            "--stats-json",
-            "--prefetch-hot",
-            "--trace",
-        ],
+        &["--workers", "--default-k", "--stats-json", "--trace"],
     )?;
     let pos = positionals(args);
     let [index_path, graph_path, queries_path] = pos.as_slice() else {
         return Err("batch expects <index-file> <edge-list> <queries-file>".to_string());
     };
     let workers: usize = parse_flag_or(args, "--workers", 0)?;
-    let cache: usize = parse_flag_or(args, "--cache", EngineConfig::default().cache_capacity)?;
-    let neg_ttl = parse_neg_ttl(args)?;
-    let prefetch_hot: usize = parse_flag_or(args, "--prefetch-hot", 0)?;
     let (trace, recorder) = parse_trace(args)?;
     // Resolved before the (possibly long) run so a malformed flag cannot
     // discard a finished batch.
@@ -509,9 +485,6 @@ fn cmd_batch(args: &[&str]) -> Result<String, String> {
         Arc::new(KReachBackend::new(Arc::clone(&g), index)),
         EngineConfig {
             workers,
-            cache_capacity: cache,
-            neg_ttl,
-            prefetch_hot,
             ..EngineConfig::default()
         },
         recorder.clone(),
@@ -531,18 +504,7 @@ fn cmd_batch(args: &[&str]) -> Result<String, String> {
 }
 
 fn cmd_update(args: &[&str]) -> Result<String, String> {
-    ensure_known_flags(
-        args,
-        &[
-            "--k",
-            "--workers",
-            "--cache",
-            "--neg-ttl",
-            "--stats-json",
-            "--prefetch-hot",
-            "--trace",
-        ],
-    )?;
+    ensure_known_flags(args, &["--k", "--workers", "--stats-json", "--trace"])?;
     let pos = positionals(args);
     let [graph_path, workload_path] = pos.as_slice() else {
         return Err("update expects <edge-list> <update-workload>".to_string());
@@ -552,9 +514,6 @@ fn cmd_update(args: &[&str]) -> Result<String, String> {
         return Err("--k must be at least 1".to_string());
     }
     let workers: usize = parse_flag_or(args, "--workers", 0)?;
-    let cache: usize = parse_flag_or(args, "--cache", EngineConfig::default().cache_capacity)?;
-    let neg_ttl = parse_neg_ttl(args)?;
-    let prefetch_hot: usize = parse_flag_or(args, "--prefetch-hot", 0)?;
     let (trace, recorder) = parse_trace(args)?;
     let stats_json = flag_value(args, "--stats-json")?;
 
@@ -570,9 +529,6 @@ fn cmd_update(args: &[&str]) -> Result<String, String> {
         Arc::clone(&backend) as Arc<dyn kreach::engine::Reachability>,
         EngineConfig {
             workers,
-            cache_capacity: cache,
-            neg_ttl,
-            prefetch_hot,
             ..EngineConfig::default()
         },
         recorder.clone(),
@@ -584,27 +540,19 @@ fn cmd_update(args: &[&str]) -> Result<String, String> {
     let mut total_queries = 0usize;
     let mut query_secs = 0.0f64;
     let mut update_secs = 0.0f64;
-    let mut cache_hits = 0u64;
-    let mut cache_misses = 0u64;
     let mut mutations = 0usize;
 
-    let flush =
-        |pending: &mut Vec<Query>, out: &mut String| -> Result<(usize, f64, u64, u64), String> {
-            if pending.is_empty() {
-                return Ok((0, 0.0, 0, 0));
-            }
-            let batch = QueryBatch::new(std::mem::take(pending));
-            let outcome = engine.run(&batch).map_err(|e| e.to_string())?;
-            out.push_str(&kreach::datasets::render_answer_lines(
-                batch.answered(&outcome.answers),
-            ));
-            Ok((
-                outcome.stats.queries,
-                outcome.stats.elapsed_secs,
-                outcome.stats.cache_hits,
-                outcome.stats.cache_misses,
-            ))
-        };
+    let flush = |pending: &mut Vec<Query>, out: &mut String| -> Result<(usize, f64), String> {
+        if pending.is_empty() {
+            return Ok((0, 0.0));
+        }
+        let batch = QueryBatch::new(std::mem::take(pending));
+        let outcome = engine.run(&batch).map_err(|e| e.to_string())?;
+        out.push_str(&kreach::datasets::render_answer_lines(
+            batch.answered(&outcome.answers),
+        ));
+        Ok((outcome.stats.queries, outcome.stats.elapsed_secs))
+    };
 
     for op in &ops {
         match *op {
@@ -617,11 +565,9 @@ fn cmd_update(args: &[&str]) -> Result<String, String> {
             }
             kreach::datasets::UpdateOp::Insert { u, v }
             | kreach::datasets::UpdateOp::Remove { u, v } => {
-                let (queries, secs, hits, misses) = flush(&mut pending, &mut out)?;
+                let (queries, secs) = flush(&mut pending, &mut out)?;
                 total_queries += queries;
                 query_secs += secs;
-                cache_hits += hits;
-                cache_misses += misses;
                 let insert = matches!(op, kreach::datasets::UpdateOp::Insert { .. });
                 let update = if insert {
                     EdgeUpdate::Insert(u, v)
@@ -643,11 +589,9 @@ fn cmd_update(args: &[&str]) -> Result<String, String> {
             }
         }
     }
-    let (queries, secs, hits, misses) = flush(&mut pending, &mut out)?;
+    let (queries, secs) = flush(&mut pending, &mut out)?;
     total_queries += queries;
     query_secs += secs;
-    cache_hits += hits;
-    cache_misses += misses;
 
     let elapsed = started.elapsed().as_secs_f64();
     let stats = backend.with_state(|s| s.stats());
@@ -665,12 +609,11 @@ fn cmd_update(args: &[&str]) -> Result<String, String> {
         "dynamic-k-reach · {total_queries} queries · {mutations} mutations \
          ({} applied, {} noops) in {elapsed:.3}s · {updates_per_sec:.0} updates/s · \
          {rows_per_update:.2} rows patched/update ({} total, {} coalesced) · \
-         cache {cache_hits}/{} hits · {} cover additions · {} rebuilds · epoch {}",
+         {} cover additions · {} rebuilds · epoch {}",
         stats.applied(),
         stats.noops,
         stats.rows_patched,
         stats.rows_coalesced,
-        cache_hits + cache_misses,
         stats.cover_additions,
         stats.full_rebuilds,
         engine.epoch(),
@@ -683,7 +626,7 @@ fn cmd_update(args: &[&str]) -> Result<String, String> {
                 "{{\"queries\":{},\"mutations\":{},\"applied\":{},\"noops\":{},",
                 "\"rows_patched\":{},\"rows_coalesced\":{},\"rows_per_update\":{:.3},",
                 "\"cover_additions\":{},\"full_rebuilds\":{},",
-                "\"cache_hits\":{},\"cache_misses\":{},\"epoch\":{},",
+                "\"epoch\":{},",
                 "\"elapsed_secs\":{:.6},\"query_secs\":{:.6},\"update_secs\":{:.6},",
                 "\"updates_per_sec\":{:.1}}}\n"
             ),
@@ -696,8 +639,6 @@ fn cmd_update(args: &[&str]) -> Result<String, String> {
             rows_per_update,
             stats.cover_additions,
             stats.full_rebuilds,
-            cache_hits,
-            cache_misses,
             engine.epoch(),
             elapsed,
             query_secs,
@@ -749,12 +690,9 @@ fn cmd_serve(args: &[&str]) -> Result<String, String> {
             "--k",
             "--h",
             "--workers",
-            "--cache",
-            "--neg-ttl",
             "--handlers",
             "--max-inflight",
             "--max-body",
-            "--prefetch-hot",
             "--trace",
             "--slow-query-us",
             "--data-dir",
@@ -818,9 +756,6 @@ fn cmd_serve(args: &[&str]) -> Result<String, String> {
     }
     let h: u32 = parse_flag_or(args, "--h", 1)?;
     let workers: usize = parse_flag_or(args, "--workers", 0)?;
-    let cache: usize = parse_flag_or(args, "--cache", EngineConfig::default().cache_capacity)?;
-    let neg_ttl = parse_neg_ttl(args)?;
-    let prefetch_hot: usize = parse_flag_or(args, "--prefetch-hot", 0)?;
     let server_defaults = kreach::server::ServerConfig::default();
     let handlers: usize = parse_flag_or(args, "--handlers", server_defaults.handlers)?;
     let max_inflight: usize = parse_flag_or(args, "--max-inflight", server_defaults.max_inflight)?;
@@ -924,9 +859,6 @@ fn cmd_serve(args: &[&str]) -> Result<String, String> {
         backend,
         EngineConfig {
             workers,
-            cache_capacity: cache,
-            neg_ttl,
-            prefetch_hot,
             ..EngineConfig::default()
         },
         recorder.clone(),
@@ -1169,7 +1101,6 @@ fn cmd_bench_serve(args: &[&str]) -> Result<String, String> {
             "--k",
             "--queries",
             "--workers",
-            "--cache",
             "--seed",
         ],
     )?;
@@ -1182,7 +1113,6 @@ fn cmd_bench_serve(args: &[&str]) -> Result<String, String> {
     let k: u32 = parse_flag_or(args, "--k", 4)?;
     let queries: usize = parse_flag_or(args, "--queries", 10_000)?;
     let seed: u64 = parse_flag_or(args, "--seed", 42)?;
-    let cache: usize = parse_flag_or(args, "--cache", EngineConfig::default().cache_capacity)?;
     let worker_list: Vec<usize> = match flag_value(args, "--workers")? {
         None => vec![1, 0],
         Some(list) => list
@@ -1195,7 +1125,7 @@ fn cmd_bench_serve(args: &[&str]) -> Result<String, String> {
     }
 
     let g = Arc::new(spec.scaled(scale).generate(seed));
-    let runs = kreach::engine::sweep::serve_sweep(&g, k, queries, seed, &worker_list, cache);
+    let runs = kreach::engine::sweep::serve_sweep(&g, k, queries, seed, &worker_list);
 
     let base_qps = runs[0].stats.queries_per_sec;
     let speedup = if runs.len() > 1 && base_qps > 0.0 {
@@ -1383,28 +1313,9 @@ mod tests {
         assert!(lines[0].starts_with("0 1 1 "));
         assert!(lines[1].starts_with("0 1 3 "));
 
-        for f in ["g.txt", "g.idx", "q.txt"] {
-            std::fs::remove_file(dir.join(f)).ok();
-        }
-    }
-
-    #[test]
-    fn skewed_workload_produces_cache_hits_in_batch() {
-        let dir = std::env::temp_dir().join(format!("kreach-cli-skew-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let graph_arg = dir.join("g.txt").to_str().unwrap().to_string();
-        let index_arg = dir.join("g.idx").to_str().unwrap().to_string();
-        let queries_arg = dir.join("q.txt").to_str().unwrap().to_string();
+        // A skewed (celebrity) workload serves too, and --stats-json writes
+        // the serving report.
         let stats_arg = dir.join("stats.json").to_str().unwrap().to_string();
-
-        run(&args(&format!(
-            "generate AgroCyc --scale 10 --seed 5 --output {graph_arg}"
-        )))
-        .expect("generate succeeds");
-        run(&args(&format!(
-            "build {graph_arg} --k 4 --output {index_arg}"
-        )))
-        .expect("build succeeds");
         let out = run(&args(&format!(
             "workload {graph_arg} --queries 3000 --seed 2 --hot 16 --hot-fraction 0.9 \
              --output {queries_arg}"
@@ -1414,21 +1325,14 @@ mod tests {
         run(&args(&format!(
             "batch {index_arg} {graph_arg} {queries_arg} --workers 4 --stats-json {stats_arg}"
         )))
-        .expect("batch succeeds");
+        .expect("skewed batch succeeds");
         let stats = std::fs::read_to_string(&stats_arg).unwrap();
-        assert!(stats.contains("\"cache_hits\":"), "{stats}");
-        let hits: u64 = stats
-            .split("\"cache_hits\":")
-            .nth(1)
-            .and_then(|rest| rest.split(',').next())
-            .and_then(|num| num.parse().ok())
-            .expect("cache_hits field parses");
-        assert!(hits > 0, "skewed workload must hit the cache: {stats}");
-
+        assert!(stats.contains("\"queries\":3000"), "{stats}");
         assert!(run(&args(&format!(
             "workload {graph_arg} --queries 10 --hot 4 --hot-fraction 1.5 --output {queries_arg}"
         )))
         .is_err());
+
         for f in ["g.txt", "g.idx", "q.txt", "stats.json"] {
             std::fs::remove_file(dir.join(f)).ok();
         }
@@ -1446,8 +1350,7 @@ mod tests {
         // Edges 0→1 and 3→2: vertex 2 has no path from 0.
         std::fs::write(dir.join("g.txt"), "0 1\n3 2\n").unwrap();
         // Query, open the path, re-query, close it, re-query. The repeated
-        // (0, 2, 2) query is the cache-staleness probe: its answer must
-        // track the mutations.
+        // (0, 2, 2) query's answer must track the mutations.
         std::fs::write(
             dir.join("ops.txt"),
             "0 2 2\n+ 1 2\n0 2 2\n+ 1 2\n- 1 2\n0 2 2\n",
@@ -1533,7 +1436,7 @@ mod tests {
             let port = base.wrapping_add(attempt * 7).max(1024);
             let command = format!(
                 "serve {graph_arg} --port {port} --backend dynamic --k 2 --workers 1 \
-                 --handlers 2 --max-inflight 8 --neg-ttl 60000 --trace 2 --slow-query-us 1"
+                 --handlers 2 --max-inflight 8 --trace 2 --slow-query-us 1"
             );
             let thread = std::thread::spawn(move || run(&args(&command)));
             // Wait for the listener to come up (or the thread to fail).

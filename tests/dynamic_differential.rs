@@ -5,8 +5,8 @@
 //! the incrementally maintained index ([`DynamicKReach`]) must answer
 //! **byte-identically** to a from-scratch [`KReachIndex::build`] over the
 //! mutated graph and to a ground-truth online BFS — at every step — and a
-//! result-cache lookup after a mutation must never serve a pre-mutation
-//! answer.
+//! query served through the engine after a mutation must never return a
+//! pre-mutation answer.
 //!
 //! Three layers of checking:
 //!
@@ -15,8 +15,8 @@
 //!    exactly the oracle edge set, and (b) incremental == rebuilt == BFS on
 //!    a query sample after every step.
 //! 2. Engine-level replays — the same discipline through [`BatchEngine`]
-//!    with a warm sharded LRU cache at 1 and 8 workers, which is what proves
-//!    epoch invalidation (stale cached answers would differ from BFS).
+//!    at 1 and 8 workers, which proves that the grouped dispatch path reads
+//!    the post-mutation index (a stale answer would differ from BFS).
 //! 3. Storage-backend equivalence — a property test asserting the frozen
 //!    CSR and the [`VersionedAdjGraph`] `GraphView` implementations answer
 //!    identical adjacency and reachability questions under random mutation
@@ -243,9 +243,9 @@ fn differential_soak_long_sequences() {
     }
 }
 
-/// Engine-level freshness: replaying mutations through [`BatchEngine`] with
-/// a warm cache must stay consistent with BFS over the live snapshot — if a
-/// post-mutation lookup ever served a pre-mutation answer, it would diverge.
+/// Engine-level freshness: replaying mutations through [`BatchEngine`] must
+/// stay consistent with BFS over the live snapshot — if a post-mutation
+/// query ever returned a pre-mutation answer, it would diverge.
 fn engine_replay(workers: usize, k: u32, seed: u64, steps: usize) {
     let g0 = GeneratorSpec::ErdosRenyi { n: 24, m: 70 }.generate(seed);
     let mut rng = StdRng::seed_from_u64(seed ^ 0xE1);
@@ -261,7 +261,7 @@ fn engine_replay(workers: usize, k: u32, seed: u64, steps: usize) {
     );
 
     for step in 0..steps {
-        // Seed the cache with pre-mutation answers for a fixed probe set.
+        // Answer a fixed probe set before the mutation.
         let probes = sample_pairs(&mut rng, oracle.n, 24);
         let batch = QueryBatch::new(probes.iter().map(|&(s, t)| Query { s, t, k }).collect());
         engine.run(&batch).expect("probe batch in range");
@@ -272,8 +272,7 @@ fn engine_replay(workers: usize, k: u32, seed: u64, steps: usize) {
             .apply_updates(&[update])
             .expect("dynamic backend applies updates");
 
-        // Post-mutation: the same probes must match BFS on the new graph,
-        // cache notwithstanding.
+        // Post-mutation: the same probes must match BFS on the new graph.
         let oracle_graph = oracle.graph();
         let outcome = engine.run(&batch).expect("probe batch in range");
         for (&(s, t), &answer) in probes.iter().zip(outcome.answers.iter()) {
@@ -582,7 +581,7 @@ proptest! {
                         }
                         _ => {
                             // A query burst: the probed pair plus its reverse,
-                            // answered through the engine (cache + pool) and
+                            // answered through the engine's pool and
                             // checked against BFS and a fresh rebuild.
                             let oracle_graph = oracle.graph();
                             let rebuilt =
