@@ -4,25 +4,29 @@
 //! "celebrity" lands in the cover) both shrinks the cover and removes the
 //! worst-case Case-4 queries involving hubs. This binary quantifies that on
 //! every dataset: cover size, index edges, index size and workload time for
-//! the two strategies.
+//! the two strategies. Each strategy's matched cover size (`matched |S|`)
+//! sits beside its pruned `|S|`, so the table shows what the prune adds.
 
 use kreach_bench::table::{fmt_mb, fmt_ms};
 use kreach_bench::{BenchConfig, Table};
-use kreach_core::{BuildOptions, CoverStrategy, KReachIndex};
+use kreach_core::{BuildOptions, CoverStrategy, KReachIndex, VertexCover};
 use kreach_datasets::{QueryWorkload, WorkloadConfig};
 use kreach_graph::metrics::{distance_profile, StatsConfig};
 use kreach_graph::DiGraph;
 use std::time::Instant;
 
+/// Matched |S|, pruned |S|, |E_I|, index bytes and workload ms.
 fn measure(
     g: &DiGraph,
     k: u32,
     strategy: CoverStrategy,
     workload: &QueryWorkload,
-) -> (usize, usize, usize, f64) {
-    let index = KReachIndex::build(
+) -> (usize, usize, usize, usize, f64) {
+    let cover = VertexCover::compute(g, strategy);
+    let index = KReachIndex::build_with_cover(
         g,
         k,
+        &cover,
         BuildOptions {
             cover_strategy: strategy,
             threads: 1,
@@ -38,6 +42,7 @@ fn measure(
     }
     std::hint::black_box(positives);
     (
+        cover.matched_len(),
         index.cover_size(),
         index.index_edge_count(),
         index.size_bytes(),
@@ -49,7 +54,9 @@ fn main() {
     let config = BenchConfig::from_env();
     let mut table = Table::new([
         "dataset",
+        "rand matched |S|",
         "rand |S|",
+        "deg matched |S|",
         "deg |S|",
         "rand |E_I|",
         "deg |E_I|",
@@ -69,11 +76,13 @@ fn main() {
         );
         let (_, mu) = distance_profile(&g, StatsConfig::default());
         let k = mu.max(2);
-        let (rs, re, rb, rt) = measure(&g, k, CoverStrategy::RandomEdge, &workload);
-        let (ds, de, db, dt) = measure(&g, k, CoverStrategy::DegreePriority, &workload);
+        let (rm, rs, re, rb, rt) = measure(&g, k, CoverStrategy::RandomEdge, &workload);
+        let (dm, ds, de, db, dt) = measure(&g, k, CoverStrategy::DegreePriority, &workload);
         table.row([
             spec.name.to_string(),
+            rm.to_string(),
             rs.to_string(),
+            dm.to_string(),
             ds.to_string(),
             re.to_string(),
             de.to_string(),

@@ -43,7 +43,13 @@
 //! Queries are answered straight from the maintained row state (true
 //! distances, binary-searched per row), so no queryable index has to be
 //! re-assembled after a batch either; [`DynamicKReach::to_index`] still
-//! materializes a paper-shaped [`KReachIndex`] on demand.
+//! materializes a paper-shaped [`KReachIndex`] on demand. The query path is
+//! target-grouped: [`DynamicKReach::query_group`] answers every source of a
+//! fan-in group against one translation of `inNei(t)` into sorted cover
+//! positions, and [`DynamicKReach::query`] is its one-source call, so there
+//! is one Case 1–4 implementation. Grouping matters because the pruned cover
+//! (see [`crate::vertex_cover`]) leaves more query endpoints uncovered, and
+//! every such Case-2/4 query needs that translation.
 //!
 //! The correctness story is differential: `tests/dynamic_differential.rs`
 //! replays random mutation sequences and asserts this maintainer answers
@@ -66,8 +72,8 @@ use std::time::Instant;
 const NOT_COVERED: u32 = u32::MAX;
 
 thread_local! {
-    /// Scratch position lists for the query path: Case 4 needs the out- and
-    /// in-neighbourhood translations alive at once, Cases 2/3 use the first.
+    /// Scratch position lists for the query path: the group's translated
+    /// `inNei(t)` (Cases 2 and 4) and a Case-4 source's `outNei(s)`.
     static QUERY_SCRATCH: std::cell::RefCell<(Vec<u32>, Vec<u32>)> =
         const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
 }
@@ -391,86 +397,100 @@ impl DynamicKReach {
             .map(|i| row[i].1)
     }
 
-    /// Translates a neighbour list into sorted cover positions inside `buf`,
-    /// returning whether `watch` (a position to spot, e.g. the covered query
-    /// endpoint certifying a direct edge) appeared. Uncovered neighbours are
-    /// skipped — the cover invariant says a neighbour of an uncovered vertex
-    /// cannot be uncovered, so this is purely defensive.
-    fn translate_sorted(&self, neighbors: &[VertexId], watch: u32, buf: &mut Vec<u32>) -> bool {
+    /// Translates a neighbour list into sorted cover positions inside `buf`.
+    /// Uncovered neighbours are skipped — the cover invariant says a
+    /// neighbour of an uncovered vertex cannot be uncovered, so this is
+    /// purely defensive.
+    fn translate_sorted(&self, neighbors: &[VertexId], buf: &mut Vec<u32>) {
         buf.clear();
-        let mut watched = false;
-        for &v in neighbors {
-            if let Some(p) = self.position(v) {
-                watched |= p == watch;
-                buf.push(p);
-            }
-        }
+        buf.extend(neighbors.iter().filter_map(|&v| self.position(v)));
         buf.sort_unstable();
-        watched
     }
 
     /// Answers `s →k t` at the maintained hop bound (Algorithm 2, evaluated
-    /// directly over the row state and the live graph view).
-    ///
-    /// Cases 2–4 translate the uncovered endpoint's neighbour list into a
-    /// sorted position list once (thread-local scratch) and run galloping
-    /// merge-intersections against the maintained rows —
-    /// [`crate::index_graph::row_any_dist_le`] — instead of one binary
-    /// search per neighbour.
+    /// directly over the row state and the live graph view): a one-source
+    /// [`DynamicKReach::query_group`].
     pub fn query(&self, s: VertexId, t: VertexId) -> bool {
-        let (ps, pt) = (self.position(s), self.position(t));
-        kreach_obs::observe::note_case(match (ps.is_some(), pt.is_some()) {
-            (true, true) => 1,
-            (true, false) => 2,
-            (false, true) => 3,
-            (false, false) => 4,
-        });
-        if s == t {
-            return true;
-        }
+        let mut answer = [false];
+        self.query_group(&[s], t, &mut answer);
+        answer[0]
+    }
+
+    /// Answers a group of queries sharing one target at the maintained hop
+    /// bound: `answers[i] = sources[i] →k t`.
+    ///
+    /// When `t` is uncovered, `inNei(t)` is translated into sorted cover
+    /// positions once per group (thread-local scratch); every Case-2 and
+    /// Case-4 source then runs galloping merge-intersections against the
+    /// maintained rows — [`crate::index_graph::row_any_dist_le`] — instead of
+    /// one binary search per neighbour. Each source is tallied to its case.
+    ///
+    /// # Panics
+    /// Panics if `sources` and `answers` differ in length.
+    pub fn query_group(&self, sources: &[VertexId], t: VertexId, answers: &mut [bool]) {
+        assert_eq!(
+            sources.len(),
+            answers.len(),
+            "one answer slot per grouped source"
+        );
         let k = self.k;
         let g = &self.graph;
-        match (ps, pt) {
-            // Case 1: both in the cover — the row entry exists iff s →k t.
-            (Some(ps), Some(pt)) => self.row_dist(ps, pt).is_some(),
-            // Case 2: s in the cover. Every in-neighbour of t is covered, and
-            // any path s ⇝ t of length ≤ k enters t through one of them with
-            // at most k−1 hops used — or is the single edge (s, t).
-            (Some(ps), None) => QUERY_SCRATCH.with(|cell| {
-                let (inn, _) = &mut *cell.borrow_mut();
-                // k ≥ 1 always (asserted at build), so spotting ps among the
-                // in-neighbour positions certifies the direct edge.
-                self.translate_sorted(g.in_neighbors(t), ps, inn)
-                    || row_any_dist_le(&self.rows[ps as usize], inn, k - 1)
-            }),
-            // Case 3: mirror image of Case 2 through outNei(s, G). Each
-            // probe targets the single position pt, so the neighbour list is
-            // scanned directly — no sorted translation needed.
-            (None, Some(pt)) => g.out_neighbors(s).iter().any(|&u| match self.position(u) {
-                Some(pu) => pu == pt || self.row_dist(pu, pt).is_some_and(|d| d < k),
-                None => false,
-            }),
-            // Case 4: neither endpoint is covered; the path must leave s into
-            // a covered out-neighbour and enter t from a covered in-neighbour,
-            // spending two hops on those steps.
-            (None, None) => {
-                if k < 2 {
-                    // A 1-hop path would be an uncovered edge, which the
-                    // cover invariant forbids.
-                    return false;
-                }
-                QUERY_SCRATCH.with(|cell| {
-                    let (out, inn) = &mut *cell.borrow_mut();
-                    self.translate_sorted(g.out_neighbors(s), NOT_COVERED, out);
-                    self.translate_sorted(g.in_neighbors(t), NOT_COVERED, inn);
-                    // Shared covered neighbour: s → u → t in two hops.
-                    sorted_any_common(out, inn)
-                        || out
-                            .iter()
-                            .any(|&pu| row_any_dist_le(&self.rows[pu as usize], inn, k - 2))
-                })
+        let pt = self.position(t);
+        QUERY_SCRATCH.with(|cell| {
+            let (out, inn) = &mut *cell.borrow_mut();
+            if pt.is_none() {
+                self.translate_sorted(g.in_neighbors(t), inn);
             }
-        }
+            for (answer, &s) in answers.iter_mut().zip(sources) {
+                let ps = self.position(s);
+                kreach_obs::observe::note_case(match (ps.is_some(), pt.is_some()) {
+                    (true, true) => 1,
+                    (true, false) => 2,
+                    (false, true) => 3,
+                    (false, false) => 4,
+                });
+                *answer = s == t
+                    || match (ps, pt) {
+                        // Case 1: both in the cover — the row entry exists
+                        // iff s →k t.
+                        (Some(ps), Some(pt)) => self.row_dist(ps, pt).is_some(),
+                        // Case 2: s in the cover. Every in-neighbour of t is
+                        // covered, and any path s ⇝ t of length ≤ k enters t
+                        // through one of them with at most k−1 hops used — or
+                        // is the single edge (s, t), which k ≥ 1 (asserted at
+                        // build) always admits.
+                        (Some(ps), None) => {
+                            inn.binary_search(&ps).is_ok()
+                                || row_any_dist_le(&self.rows[ps as usize], inn, k - 1)
+                        }
+                        // Case 3: mirror image of Case 2 through outNei(s, G).
+                        // Each probe targets the single position pt, so the
+                        // neighbour list is scanned directly.
+                        (None, Some(pt)) => {
+                            g.out_neighbors(s).iter().any(|&u| match self.position(u) {
+                                Some(pu) => {
+                                    pu == pt || self.row_dist(pu, pt).is_some_and(|d| d < k)
+                                }
+                                None => false,
+                            })
+                        }
+                        // Case 4: neither endpoint is covered; the path must
+                        // leave s into a covered out-neighbour and enter t
+                        // from a covered in-neighbour, spending two hops on
+                        // those steps. A 1-hop path would be an uncovered
+                        // edge, which the cover invariant forbids.
+                        (None, None) if k < 2 => false,
+                        (None, None) => {
+                            self.translate_sorted(g.out_neighbors(s), out);
+                            // Shared covered neighbour: s → u → t in two hops.
+                            sorted_any_common(out, inn)
+                                || out
+                                    .iter()
+                                    .any(|&pu| row_any_dist_le(&self.rows[pu as usize], inn, k - 2))
+                        }
+                    };
+            }
+        });
     }
 
     /// Answers `s →k t` for an arbitrary hop bound (row state for the
@@ -908,6 +928,84 @@ mod tests {
             before,
             dynk.cover_size()
         );
+    }
+
+    /// Every cover member has an uncovered neighbour: the pruned cover
+    /// has no redundant member.
+    fn assert_cover_minimal(dynk: &DynamicKReach) {
+        let g = dynk.graph();
+        for &v in dynk.raw_state().0 {
+            assert!(
+                g.out_neighbors(v)
+                    .iter()
+                    .chain(g.in_neighbors(v))
+                    .any(|&w| !dynk.in_cover(w)),
+                "cover member {v} is redundant"
+            );
+        }
+    }
+
+    #[test]
+    fn re_cover_after_removals_is_minimal_and_exact() {
+        // A hub fan-out plus a chain. Removing hub edges past the removal
+        // threshold fires a re-cover, whose cover must be pruned too.
+        let mut edges: Vec<(u32, u32)> = (1..24u32).map(|i| (0, i)).collect();
+        edges.extend((24..40u32).map(|i| (i, i + 1)));
+        let g = DiGraph::from_edges(41, edges);
+        let options = DynamicOptions {
+            max_removal_fraction: 0.25,
+            min_removal_trigger: 4,
+            ..DynamicOptions::default()
+        };
+        for k in [1, 2, 3] {
+            let mut dynk = DynamicKReach::new(g.clone(), k, options);
+            assert_cover_minimal(&dynk);
+            // Remove hub edges until the threshold fires: the cover is then
+            // exactly the fresh one the re-cover computed.
+            let mut leaves = 1..24u32;
+            while dynk.stats().full_rebuilds == 0 {
+                let leaf = leaves.next().expect("the removal threshold fires");
+                assert!(dynk.remove_edge(VertexId(0), VertexId(leaf)));
+            }
+            assert_cover_minimal(&dynk);
+            check_exact(&dynk);
+        }
+    }
+
+    #[test]
+    fn query_group_matches_per_source_bfs() {
+        // Two hubs feeding shared targets: fan-in groups land on covered
+        // targets (hubs, mid-path vertices) and uncovered ones (leaves).
+        let mut edges: Vec<(u32, u32)> = vec![(0, 1), (1, 2), (2, 3), (3, 4)];
+        for i in 5..20u32 {
+            edges.push((0, i));
+            edges.push((i, 1 + i % 3));
+            edges.push((2, 20 + i % 4));
+        }
+        edges.push((24, 0));
+        let g = DiGraph::from_edges(26, edges);
+        for k in [1, 2, 3, 4] {
+            let dynk = DynamicKReach::new(g.clone(), k, DynamicOptions::default());
+            let mut covered_target = false;
+            let mut uncovered_target = false;
+            // Every group holds every vertex, so `s == t` is always a member.
+            let sources: Vec<VertexId> = dynk.graph().vertices().collect();
+            let mut answers = vec![false; sources.len()];
+            for t in dynk.graph().vertices() {
+                covered_target |= dynk.in_cover(t);
+                uncovered_target |= !dynk.in_cover(t);
+                dynk.query_group(&sources, t, &mut answers);
+                for (&s, &answer) in sources.iter().zip(&answers) {
+                    assert_eq!(
+                        answer,
+                        khop_reachable_bfs(dynk.graph(), s, t, k),
+                        "k={k} ({s},{t})"
+                    );
+                    assert_eq!(answer, dynk.query(s, t), "k={k} ({s},{t})");
+                }
+            }
+            assert!(covered_target && uncovered_target);
+        }
     }
 
     #[test]

@@ -3,11 +3,23 @@
 //! A set `S ⊆ V` is a vertex cover of `G = (V, E)` if every edge has at least
 //! one endpoint in `S`. The k-reach index only pre-computes k-hop
 //! reachability *among cover vertices*, so the cover size directly determines
-//! the index size. Computing the minimum cover is NP-hard; the paper uses the
-//! classical 2-approximation (repeatedly pick an uncovered edge and take both
-//! endpoints) and, in §4.3, a *degree-prioritized* variant that prefers edges
-//! incident to high-degree vertices so that "celebrity" vertices end up in
-//! the cover and their queries hit the cheap Case 1 of Algorithm 2.
+//! the index size and the Algorithm-1 build time. Computing the minimum cover
+//! is NP-hard; the paper uses the classical 2-approximation (repeatedly pick
+//! an uncovered edge and take both endpoints) and, in §4.3, a
+//! *degree-prioritized* variant that prefers edges incident to high-degree
+//! vertices so that "celebrity" vertices end up in the cover and their
+//! queries hit the cheap Case 1 of Algorithm 2.
+//!
+//! Taking both endpoints of every matched edge leaves many members whose
+//! neighbours are all covered anyway. [`VertexCover::compute`] therefore ends
+//! with one prune pass: it visits the members in increasing total degree and
+//! drops each one whose in- and out-neighbours are all still covered (a
+//! self-loop keeps its vertex). Every edge still has a covered endpoint — a
+//! member is dropped only when all its neighbours are covered, and a
+//! neighbour dropped later sees it uncovered and stays — and every surviving
+//! member is necessary. The pass only removes vertices, so the result is no
+//! larger than the matched cover and the 2-approximation bound holds.
+//! [`VertexCover::matched_len`] keeps the pre-prune size.
 
 use kreach_graph::{FixedBitSet, GraphView, VertexId};
 
@@ -30,10 +42,34 @@ pub struct VertexCover {
     members: Vec<VertexId>,
     membership: FixedBitSet,
     strategy: CoverStrategy,
+    /// `|S|` before the prune: the size of the matched 2-approximation.
+    matched_len: usize,
+}
+
+/// Drops every member whose in- and out-neighbours are all still covered,
+/// visiting members in increasing total degree (low-degree members are the
+/// likeliest to be redundant, and dropping them keeps the hubs). A member
+/// with a self-loop always stays: the loop is covered only by itself.
+/// `members` keeps its selection order.
+fn prune_redundant<G: GraphView>(g: &G, members: &mut Vec<VertexId>, in_cover: &mut FixedBitSet) {
+    let mut order = members.clone();
+    order.sort_by_key(|&v| g.total_degree(v));
+    for v in order {
+        let needed = g
+            .out_neighbors(v)
+            .iter()
+            .chain(g.in_neighbors(v))
+            .any(|&w| w == v || !in_cover.contains_vertex(w));
+        if !needed {
+            in_cover.remove(v.index());
+        }
+    }
+    members.retain(|&v| in_cover.contains_vertex(v));
 }
 
 impl VertexCover {
-    /// Computes a 2-approximate minimum vertex cover of `g`.
+    /// Computes a 2-approximate minimum vertex cover of `g`, then prunes
+    /// its redundant members (see the module docs).
     ///
     /// Edge directions are ignored (§4.1.1: "we may simply ignore the
     /// direction of the edges in computing a 2-approximate minimum vertex
@@ -86,34 +122,21 @@ impl VertexCover {
                     if let Some(w) = partner {
                         take(u, &mut members, &mut in_cover);
                         take(w, &mut members, &mut in_cover);
-                    } else if g.total_degree(u) > 0
-                        && g.out_neighbors(u)
-                            .iter()
-                            .chain(g.in_neighbors(u).iter())
-                            .any(|&w| !in_cover.contains_vertex(w) || w == u)
-                    {
-                        // Unreachable in practice (partner search above covers it);
-                        // kept for clarity of intent.
-                        take(u, &mut members, &mut in_cover);
-                    }
-                }
-                // A final sweep guarantees covering edges whose endpoints were
-                // both skipped (cannot happen with the logic above, but the
-                // invariant is cheap to enforce and future-proof).
-                for (u, v) in g.edges() {
-                    if !in_cover.contains_vertex(u) && !in_cover.contains_vertex(v) {
-                        take(u, &mut members, &mut in_cover);
-                        take(v, &mut members, &mut in_cover);
                     }
                 }
             }
         }
 
-        VertexCover {
+        let matched_len = members.len();
+        prune_redundant(g, &mut members, &mut in_cover);
+        let cover = VertexCover {
             members,
             membership: in_cover,
             strategy,
-        }
+            matched_len,
+        };
+        debug_assert!(cover.covers_all_edges(g));
+        cover
     }
 
     /// Builds a cover from an explicit member list (for example the cover of
@@ -134,6 +157,7 @@ impl VertexCover {
             list.push(v);
         }
         VertexCover {
+            matched_len: list.len(),
             members: list,
             membership,
             strategy: CoverStrategy::RandomEdge,
@@ -148,6 +172,13 @@ impl VertexCover {
     /// Number of cover vertices `|S|`.
     pub fn len(&self) -> usize {
         self.members.len()
+    }
+
+    /// `|S|` of the matched 2-approximation before redundant members were
+    /// pruned (equal to [`VertexCover::len`] for an explicit member list).
+    /// Table 9 reports this as the paper's cover size.
+    pub fn matched_len(&self) -> usize {
+        self.matched_len
     }
 
     /// True if the cover is empty (the graph has no edges).
@@ -185,6 +216,7 @@ impl VertexCover {
 mod tests {
     use super::*;
     use kreach_graph::DiGraph;
+    use proptest::prelude::*;
 
     fn path(n: usize) -> DiGraph {
         DiGraph::from_edges(n, (0..n as u32 - 1).map(|i| (i, i + 1)))
@@ -262,8 +294,10 @@ mod tests {
         for v in g.vertices() {
             assert_eq!(c.contains(v), c.members().contains(&v));
         }
-        // Three disjoint edges: the matching cover takes all six vertices.
-        assert_eq!(c.len(), 6);
+        // Three disjoint edges: the matching takes all six vertices and the
+        // prune keeps one endpoint per edge, the minimum.
+        assert_eq!(c.matched_len(), 6);
+        assert_eq!(c.len(), 3);
     }
 
     #[test]
@@ -281,5 +315,47 @@ mod tests {
         let priority = VertexCover::compute(&g, CoverStrategy::DegreePriority);
         assert!(priority.len() <= random.len());
         assert!(priority.len() <= 6);
+    }
+
+    /// A random digraph on up to 24 vertices. Self-loops are kept (the
+    /// edge-list builders drop them), so the prune's self-loop rule is
+    /// exercised too.
+    fn arb_graph_with_loops() -> impl Strategy<Value = DiGraph> {
+        (1..24usize).prop_flat_map(|n| {
+            proptest::collection::vec((0..n as u32, 0..n as u32), 0..60).prop_map(
+                move |mut edges| {
+                    edges.sort_unstable();
+                    edges.dedup();
+                    DiGraph::from_sorted_unique_edges(n, &edges)
+                },
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        #[test]
+        fn pruned_cover_is_valid_and_minimal(
+            g in arb_graph_with_loops(),
+            degree_priority in proptest::bool::ANY,
+        ) {
+            let strategy = if degree_priority {
+                CoverStrategy::DegreePriority
+            } else {
+                CoverStrategy::RandomEdge
+            };
+            let c = VertexCover::compute(&g, strategy);
+            prop_assert!(c.covers_all_edges(&g));
+            prop_assert!(c.len() <= c.matched_len());
+            for &v in c.members() {
+                let needed = g
+                    .out_neighbors(v)
+                    .iter()
+                    .chain(g.in_neighbors(v))
+                    .any(|&w| w == v || !c.contains(w));
+                prop_assert!(needed, "{:?} member {} is redundant", strategy, v);
+            }
+        }
     }
 }

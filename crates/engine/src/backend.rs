@@ -376,6 +376,19 @@ impl Reachability for DynamicKReachBackend {
         self.read().query_k(s, t, k)
     }
 
+    /// One read lock per group; the maintained hop bound runs the
+    /// maintainer's grouped kernel, any other `k` the per-query fallback.
+    fn query_group(&self, sources: &[VertexId], t: VertexId, k: u32, answers: &mut [bool]) {
+        let state = self.read();
+        if k == state.k() {
+            state.query_group(sources, t, answers);
+        } else {
+            for (answer, &s) in answers.iter_mut().zip(sources) {
+                *answer = state.query_k(s, t, k);
+            }
+        }
+    }
+
     fn has_edge(&self, u: VertexId, v: VertexId) -> Option<bool> {
         Some(self.read().graph().has_edge(u, v))
     }
@@ -442,14 +455,19 @@ mod tests {
         for backend in backends {
             assert_eq!(backend.default_k(), k, "{}", backend.name());
             for query_k in [1, 2, 3, 5] {
-                for s in g.vertices() {
-                    for t in g.vertices() {
+                let sources: Vec<VertexId> = g.vertices().collect();
+                let mut answers = vec![false; sources.len()];
+                for t in g.vertices() {
+                    backend.query_group(&sources, t, query_k, &mut answers);
+                    for (&s, &grouped) in sources.iter().zip(&answers) {
+                        let truth = khop_reachable_bfs(&g, s, t, query_k);
+                        let name = backend.name();
                         assert_eq!(
                             backend.query(s, t, query_k),
-                            khop_reachable_bfs(&g, s, t, query_k),
-                            "{} at k={query_k} ({s},{t})",
-                            backend.name()
+                            truth,
+                            "{name} k={query_k} ({s},{t})"
                         );
+                        assert_eq!(grouped, truth, "{name} grouped k={query_k} ({s},{t})");
                     }
                 }
             }

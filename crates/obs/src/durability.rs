@@ -3,7 +3,7 @@
 //! The WAL and checkpointer live in `kreach-store`, but the server (which
 //! renders `/metrics` and `/healthz`) deliberately does not depend on the
 //! store. [`DurabilityStats`] is the neutral meeting point: the store owns
-//! one, bumps it from `Wal::append`, `Store::checkpoint_with` and
+//! one, bumps it from `Wal::append`, `Store::finish_checkpoint` and
 //! `Store::restore`, and the CLI hands the same `Arc` to the server for
 //! rendering. Everything is relaxed atomics — the WAL append path is
 //! already fsync-bound, so a few counter bumps are free.

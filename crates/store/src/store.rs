@@ -311,9 +311,11 @@ impl Store {
     }
 
     /// Convenience for a caller holding a concrete state (bootstrap and
-    /// tests): checkpoints `state` as-is at `epoch`.
+    /// tests): checkpoints the borrowed `state` as-is at `epoch`, without
+    /// copying it.
     pub fn checkpoint_state(&self, state: &DynamicKReach, epoch: u64) -> Result<u64, StorageError> {
-        self.checkpoint_with(|| (state.clone(), epoch))
+        let token = self.begin_checkpoint()?;
+        self.finish_checkpoint(token, state, epoch)
     }
 }
 

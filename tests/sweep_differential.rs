@@ -201,25 +201,28 @@ proptest! {
     }
 }
 
-/// A path on `2·pairs` vertices gets a computed cover of exactly
-/// `2·pairs` members, so the dynamic maintainer's own cover lands on both
-/// sides of the pass edges (64/66 and 128/130).
+/// A caterpillar — spine `0 → 1 → … → m−1` plus one pendant leaf per spine
+/// vertex — has a pruned cover of exactly its `m` spine vertices, so the
+/// dynamic maintainer's own cover lands on both sides of the pass edges
+/// (64/66 and 128/130).
 #[test]
 fn dynamic_initial_rows_match_across_pass_edges() {
-    for pairs in [32u32, 33, 64, 65] {
-        let n = 2 * pairs;
-        let g = DiGraph::from_edges(n as usize, (0..n - 1).map(|i| (i, i + 1)));
+    for m in [64u32, 66, 128, 130] {
+        let n = 2 * m;
+        let spine = (0..m - 1).map(|i| (i, i + 1));
+        let leaves = (0..m).map(|i| (i, m + i));
+        let g = DiGraph::from_edges(n as usize, spine.chain(leaves));
         for k in [1, 2, 3, 5, n] {
             let dynk = DynamicKReach::new(g.clone(), k, DynamicOptions::default());
             let view = VersionedAdjGraph::from_csr(&g);
             let cover = VertexCover::compute(&view, DynamicOptions::default().build.cover_strategy);
             let (members, rows) = dynk.raw_state();
-            assert_eq!(cover.len(), 2 * pairs as usize);
-            assert_eq!(members, cover.members(), "pairs={pairs} k={k}");
+            assert_eq!(cover.len(), m as usize);
+            assert_eq!(members, cover.members(), "m={m} k={k}");
             assert_eq!(
                 rows,
                 &reference_rows(&view, cover.members(), k, 0)[..],
-                "pairs={pairs} k={k}"
+                "m={m} k={k}"
             );
         }
     }
