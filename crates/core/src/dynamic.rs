@@ -6,6 +6,13 @@
 //! module maintains the index incrementally instead, patching only what an
 //! update can actually touch:
 //!
+//! * **One index, patched in place.** The maintainer owns a
+//!   [`KReachIndex`] — the same cover, clamped 2-bit rows, dense-row bitsets
+//!   and position lists a static build produces — and patches it under the
+//!   serving layer's write lock, so every query runs Algorithm 2 exactly as
+//!   static serving does ([`KReachIndex::query_group_k`]). Maintenance only
+//!   ever *writes* rows (each recomputed row comes from a fresh BFS), so the
+//!   clamped weights lose nothing it needs.
 //! * **Versioned storage.** The graph lives in a
 //!   [`VersionedAdjGraph`] — per-vertex sorted adjacency with copy-on-write
 //!   segments — so an edge change costs `O(degree)` and queries read the live
@@ -30,53 +37,29 @@
 //!   different updates in the same batch collapse into one forward k-BFS per
 //!   row ([`UpdateStats::rows_coalesced`] counts the recomputations saved).
 //!   For removals the affected set is taken in the *pre-removal* graph,
-//!   because that is where paths used the edge.
+//!   because that is where paths used the edge. The uncovered endpoint's
+//!   position list gains or loses the covered one.
 //! * **Rebuild thresholds.** Incremental cover repair only ever grows the
 //!   cover, and deletions leave dead weight behind (a removed edge's
 //!   endpoints stay covered forever). When the cover has grown past a
 //!   configurable fraction since the last full build — or enough edges have
 //!   been *deleted* that a fresh cover could be substantially smaller — the
-//!   maintainer lazily re-covers: a fresh vertex cover and a fresh BFS
-//!   sweep, exactly as Algorithm 1. The deletion trigger is what lets the
-//!   cover (and with it the index) *shrink* under sustained removals.
-//!
-//! Queries are answered straight from the maintained row state (true
-//! distances, binary-searched per row), so no queryable index has to be
-//! re-assembled after a batch either; [`DynamicKReach::to_index`] still
-//! materializes a paper-shaped [`KReachIndex`] on demand. The query path is
-//! target-grouped: [`DynamicKReach::query_group`] answers every source of a
-//! fan-in group against one translation of `inNei(t)` into sorted cover
-//! positions, and [`DynamicKReach::query`] is its one-source call, so there
-//! is one Case 1–4 implementation. Grouping matters because the pruned cover
-//! (see [`crate::vertex_cover`]) leaves more query endpoints uncovered, and
-//! every such Case-2/4 query needs that translation.
+//!   maintainer lazily re-covers: a fresh [`KReachIndex::build`], exactly
+//!   Algorithm 1. The deletion trigger is what lets the cover (and with it
+//!   the index) *shrink* under sustained removals.
 //!
 //! The correctness story is differential: `tests/dynamic_differential.rs`
 //! replays random mutation sequences and asserts this maintainer answers
 //! byte-identically to a from-scratch [`KReachIndex::build`] and to an
-//! online BFS at every step.
+//! online BFS at every step, and this module's tests check the patched rows,
+//! bitsets and position lists against a fresh build on the same cover.
 
-use crate::index_graph::{row_any_dist_le, sorted_any_common, CoverIndexGraph};
 use crate::kreach::{BuildOptions, KReachIndex};
-use crate::vertex_cover::VertexCover;
-use crate::weights::PackedWeights;
-use kreach_graph::traversal::{
-    khop_reachable_bidirectional, Direction, LaneSweep, NeighborhoodExplorer, SWEEP_LANES,
-};
+use kreach_graph::traversal::{Direction, NeighborhoodExplorer};
 use kreach_graph::versioned::{EdgeUpdate, VersionedAdjGraph};
 use kreach_graph::{DiGraph, GraphView, VertexId};
 use std::collections::BTreeSet;
 use std::time::Instant;
-
-/// Sentinel for "vertex is not in the cover".
-const NOT_COVERED: u32 = u32::MAX;
-
-thread_local! {
-    /// Scratch position lists for the query path: the group's translated
-    /// `inNei(t)` (Cases 2 and 4) and a Case-4 source's `outNei(s)`.
-    static QUERY_SCRATCH: std::cell::RefCell<(Vec<u32>, Vec<u32>)> =
-        const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
-}
 
 /// Tuning knobs for incremental maintenance.
 #[derive(Debug, Clone, Copy)]
@@ -188,41 +171,24 @@ impl UpdateStats {
 
 /// A k-reach index kept consistent with a mutating graph.
 ///
-/// The maintainer owns the graph (a [`VersionedAdjGraph`]) and the index
-/// state (cover members, per-cover-vertex rows). Queries read the row state
-/// and the live graph view directly, so they need only `&self` and are always
-/// consistent with every update applied so far.
+/// The maintainer owns the graph (a [`VersionedAdjGraph`]) and the
+/// [`KReachIndex`] over it. Queries read both directly, so they need only
+/// `&self` and are always consistent with every update applied so far.
 #[derive(Debug, Clone)]
 pub struct DynamicKReach {
-    k: u32,
     options: DynamicOptions,
     graph: VersionedAdjGraph,
-    /// Cover vertices in position order; repair only ever appends, so
-    /// existing positions are stable between rebuilds.
-    members: Vec<VertexId>,
-    /// Dense vertex → cover-position map (`NOT_COVERED` when absent).
-    pos_of: Vec<u32>,
-    /// Per-cover-position rows of `(target position, true distance ≤ k)`,
-    /// sorted by target position; clamping to the paper's {k−2, k−1, k}
-    /// happens only when materializing a [`KReachIndex`].
-    rows: Vec<Vec<(u32, u32)>>,
+    /// The served index, patched in place; repair only ever appends cover
+    /// positions, so existing positions are stable between rebuilds.
+    index: KReachIndex,
     cover_at_rebuild: usize,
     edges_at_rebuild: usize,
     removals_since_rebuild: usize,
     stats: UpdateStats,
     /// Reusable single-source BFS for row maintenance; grows with the graph.
     explorer: NeighborhoodExplorer,
-    /// Scratch row collected before it is copied out at its exact length.
+    /// Scratch row of `(target position, true distance)`.
     row_buf: Vec<(u32, u32)>,
-}
-
-/// The cover position of `v` in a vertex → position map, if covered.
-#[inline]
-fn covered(pos_of: &[u32], v: VertexId) -> Option<u32> {
-    match pos_of.get(v.index()) {
-        Some(&p) if p != NOT_COVERED => Some(p),
-        _ => None,
-    }
 }
 
 impl DynamicKReach {
@@ -231,106 +197,41 @@ impl DynamicKReach {
     /// # Panics
     /// Panics if `k == 0`, like [`KReachIndex::build`].
     pub fn new(g: DiGraph, k: u32, options: DynamicOptions) -> Self {
-        Self::from_view(VersionedAdjGraph::from_csr(&g), k, options)
+        let index = KReachIndex::build(&g, k, options.build);
+        Self::from_index(g, index, options).expect("a fresh build fits its graph")
     }
 
-    /// Builds the initial index over an existing versioned graph.
-    ///
-    /// # Panics
-    /// Panics if `k == 0`, like [`KReachIndex::build`].
-    pub fn from_view(graph: VersionedAdjGraph, k: u32, options: DynamicOptions) -> Self {
-        assert!(k >= 1, "k-reach requires k >= 1");
-        let mut this = DynamicKReach {
-            k,
-            options,
-            graph,
-            members: Vec::new(),
-            pos_of: Vec::new(),
-            rows: Vec::new(),
-            cover_at_rebuild: 0,
-            edges_at_rebuild: 0,
-            removals_since_rebuild: 0,
-            stats: UpdateStats::default(),
-            explorer: NeighborhoodExplorer::new(),
-            row_buf: Vec::new(),
-        };
-        this.rebuild();
-        this.stats = UpdateStats::default(); // the initial build is not a rebuild
-        this
-    }
-
-    /// Borrows the maintainer's raw index state — cover members in position
-    /// order and the per-position rows of `(target position, true distance)`
-    /// — for checkpointing. Together with the graph view this is the entire
-    /// mutable state: a checkpoint of these pieces restores the maintainer
-    /// bit-for-bit via [`DynamicKReach::from_raw_state`].
-    #[allow(clippy::type_complexity)]
-    pub fn raw_state(&self) -> (&[VertexId], &[Vec<(u32, u32)>]) {
-        (&self.members, &self.rows)
-    }
-
-    /// Reconstructs a maintainer from checkpointed raw state without
-    /// rebuilding anything — the restore path of `kreach serve --data-dir`.
-    ///
-    /// Structural invariants are validated (member ranges and uniqueness,
-    /// row sort order, target-position and distance bounds) and violations
-    /// return `Err` rather than panicking, so a corrupt checkpoint can never
-    /// produce a maintainer that faults at query time. Rebuild bookkeeping is
-    /// reset as if the restored state had just been built.
-    pub fn from_raw_state(
-        graph: VersionedAdjGraph,
-        k: u32,
+    /// Maintains an index loaded for `g` — the restore path of `kreach
+    /// serve --data-dir` — as if it had just been built. The index must have
+    /// been checked on the way in
+    /// ([`crate::index_graph::CoverIndexGraph::try_from_raw_parts`]); a
+    /// vertex count or cover that does not fit `g` is an `Err`. (The CSR's
+    /// flat adjacency is what the checks and the translation scan fastest.)
+    pub fn from_index(
+        g: DiGraph,
+        index: KReachIndex,
         options: DynamicOptions,
-        members: Vec<VertexId>,
-        rows: Vec<Vec<(u32, u32)>>,
     ) -> Result<Self, String> {
-        if k == 0 {
+        if index.k() == 0 {
             return Err("k-reach requires k >= 1".to_string());
         }
-        let n = graph.vertex_count();
-        if members.len() != rows.len() {
-            return Err(format!(
-                "{} cover members but {} rows",
-                members.len(),
-                rows.len()
-            ));
+        let (n, indexed) = (g.vertex_count(), index.index_graph());
+        if indexed.input_vertex_count() != n {
+            return Err(format!("index and graph differ in vertex count ({n})"));
         }
-        let mut pos_of = vec![NOT_COVERED; n];
-        for (p, &v) in members.iter().enumerate() {
-            if v.index() >= n {
-                return Err(format!("cover member {v} out of range (n = {n})"));
-            }
-            if pos_of[v.index()] != NOT_COVERED {
-                return Err(format!("duplicate cover member {v}"));
-            }
-            pos_of[v.index()] = p as u32;
+        if let Some((u, v)) = g
+            .edges()
+            .find(|&(u, v)| !index.in_cover(u) && !index.in_cover(v))
+        {
+            return Err(format!("edge ({u}, {v}) has no endpoint in the cover"));
         }
-        let cover_len = members.len() as u32;
-        for (p, row) in rows.iter().enumerate() {
-            if row.windows(2).any(|w| w[0].0 >= w[1].0) {
-                return Err(format!("row {p} is not strictly sorted by target position"));
-            }
-            for &(t, d) in row {
-                if t >= cover_len {
-                    return Err(format!(
-                        "row {p} targets position {t} outside the cover ({cover_len})"
-                    ));
-                }
-                if d > k {
-                    return Err(format!("row {p} stores distance {d} past the bound {k}"));
-                }
-            }
-        }
-        let (cover_at_rebuild, edges_at_rebuild) = (members.len(), graph.edge_count());
+        index.pos_adj(&g);
         Ok(DynamicKReach {
-            k,
             options,
-            graph,
-            members,
-            pos_of,
-            rows,
-            cover_at_rebuild,
-            edges_at_rebuild,
+            cover_at_rebuild: index.cover_size(),
+            edges_at_rebuild: g.edge_count(),
+            graph: VersionedAdjGraph::from_csr(&g),
+            index,
             removals_since_rebuild: 0,
             stats: UpdateStats::default(),
             explorer: NeighborhoodExplorer::new(),
@@ -340,12 +241,18 @@ impl DynamicKReach {
 
     /// The hop bound `k` the maintained index answers.
     pub fn k(&self) -> u32 {
-        self.k
+        self.index.k()
     }
 
     /// The live graph view (always consistent with the index).
     pub fn graph(&self) -> &VersionedAdjGraph {
         &self.graph
+    }
+
+    /// The maintained index, consistent with [`DynamicKReach::graph`]: what
+    /// queries run, and what checkpoints persist.
+    pub fn index(&self) -> &KReachIndex {
+        &self.index
     }
 
     /// Materializes the current graph as a frozen CSR (`O(n + m)`; for
@@ -354,27 +261,14 @@ impl DynamicKReach {
         self.graph.to_csr()
     }
 
-    /// Materializes the maintained state as a paper-shaped [`KReachIndex`]
-    /// (`O(index size)`; queries do not need this — they read the row state
-    /// directly).
-    pub fn to_index(&self) -> KReachIndex {
-        let index = CoverIndexGraph::<PackedWeights>::assemble(
-            self.graph.vertex_count(),
-            self.members.clone(),
-            self.rows.clone(),
-            self.k.saturating_sub(2),
-        );
-        KReachIndex::from_parts(self.k, self.options.build.cover_strategy, index)
-    }
-
     /// Current number of cover vertices.
     pub fn cover_size(&self) -> usize {
-        self.members.len()
+        self.index.cover_size()
     }
 
     /// Whether `v` is currently a cover vertex.
     pub fn in_cover(&self, v: VertexId) -> bool {
-        self.position(v).is_some()
+        self.index.in_cover(v)
     }
 
     /// Cumulative maintenance counters.
@@ -382,127 +276,22 @@ impl DynamicKReach {
         self.stats
     }
 
-    #[inline]
-    fn position(&self, v: VertexId) -> Option<u32> {
-        covered(&self.pos_of, v)
-    }
-
-    /// True distance of the index edge between cover positions, if any
-    /// (binary search on the sorted row).
-    #[inline]
-    fn row_dist(&self, ps: u32, pt: u32) -> Option<u32> {
-        let row = &self.rows[ps as usize];
-        row.binary_search_by_key(&pt, |&(p, _)| p)
-            .ok()
-            .map(|i| row[i].1)
-    }
-
-    /// Translates a neighbour list into sorted cover positions inside `buf`.
-    /// Uncovered neighbours are skipped — the cover invariant says a
-    /// neighbour of an uncovered vertex cannot be uncovered, so this is
-    /// purely defensive.
-    fn translate_sorted(&self, neighbors: &[VertexId], buf: &mut Vec<u32>) {
-        buf.clear();
-        buf.extend(neighbors.iter().filter_map(|&v| self.position(v)));
-        buf.sort_unstable();
-    }
-
-    /// Answers `s →k t` at the maintained hop bound (Algorithm 2, evaluated
-    /// directly over the row state and the live graph view): a one-source
-    /// [`DynamicKReach::query_group`].
+    /// Answers `s →k t` at the maintained hop bound (Algorithm 2).
     pub fn query(&self, s: VertexId, t: VertexId) -> bool {
-        let mut answer = [false];
-        self.query_group(&[s], t, &mut answer);
-        answer[0]
+        self.index.query(&self.graph, s, t)
     }
 
-    /// Answers a group of queries sharing one target at the maintained hop
-    /// bound: `answers[i] = sources[i] →k t`.
-    ///
-    /// When `t` is uncovered, `inNei(t)` is translated into sorted cover
-    /// positions once per group (thread-local scratch); every Case-2 and
-    /// Case-4 source then runs galloping merge-intersections against the
-    /// maintained rows — [`crate::index_graph::row_any_dist_le`] — instead of
-    /// one binary search per neighbour. Each source is tallied to its case.
-    ///
-    /// # Panics
-    /// Panics if `sources` and `answers` differ in length.
+    /// Answers `answers[i] = sources[i] →k t` at the maintained hop bound
+    /// ([`KReachIndex::query_group_k`]; panics on a length mismatch).
     pub fn query_group(&self, sources: &[VertexId], t: VertexId, answers: &mut [bool]) {
-        assert_eq!(
-            sources.len(),
-            answers.len(),
-            "one answer slot per grouped source"
-        );
-        let k = self.k;
-        let g = &self.graph;
-        let pt = self.position(t);
-        QUERY_SCRATCH.with(|cell| {
-            let (out, inn) = &mut *cell.borrow_mut();
-            if pt.is_none() {
-                self.translate_sorted(g.in_neighbors(t), inn);
-            }
-            for (answer, &s) in answers.iter_mut().zip(sources) {
-                let ps = self.position(s);
-                kreach_obs::observe::note_case(match (ps.is_some(), pt.is_some()) {
-                    (true, true) => 1,
-                    (true, false) => 2,
-                    (false, true) => 3,
-                    (false, false) => 4,
-                });
-                *answer = s == t
-                    || match (ps, pt) {
-                        // Case 1: both in the cover — the row entry exists
-                        // iff s →k t.
-                        (Some(ps), Some(pt)) => self.row_dist(ps, pt).is_some(),
-                        // Case 2: s in the cover. Every in-neighbour of t is
-                        // covered, and any path s ⇝ t of length ≤ k enters t
-                        // through one of them with at most k−1 hops used — or
-                        // is the single edge (s, t), which k ≥ 1 (asserted at
-                        // build) always admits.
-                        (Some(ps), None) => {
-                            inn.binary_search(&ps).is_ok()
-                                || row_any_dist_le(&self.rows[ps as usize], inn, k - 1)
-                        }
-                        // Case 3: mirror image of Case 2 through outNei(s, G).
-                        // Each probe targets the single position pt, so the
-                        // neighbour list is scanned directly.
-                        (None, Some(pt)) => {
-                            g.out_neighbors(s).iter().any(|&u| match self.position(u) {
-                                Some(pu) => {
-                                    pu == pt || self.row_dist(pu, pt).is_some_and(|d| d < k)
-                                }
-                                None => false,
-                            })
-                        }
-                        // Case 4: neither endpoint is covered; the path must
-                        // leave s into a covered out-neighbour and enter t
-                        // from a covered in-neighbour, spending two hops on
-                        // those steps. A 1-hop path would be an uncovered
-                        // edge, which the cover invariant forbids.
-                        (None, None) if k < 2 => false,
-                        (None, None) => {
-                            self.translate_sorted(g.out_neighbors(s), out);
-                            // Shared covered neighbour: s → u → t in two hops.
-                            sorted_any_common(out, inn)
-                                || out
-                                    .iter()
-                                    .any(|&pu| row_any_dist_le(&self.rows[pu as usize], inn, k - 2))
-                        }
-                    };
-            }
-        });
+        self.index
+            .query_group_k(&self.graph, sources, t, self.k(), answers);
     }
 
-    /// Answers `s →k t` for an arbitrary hop bound (row state for the
-    /// maintained bound, exact online search otherwise), mirroring
-    /// [`KReachIndex::query_k`].
+    /// Answers `s →k t` for an arbitrary hop bound, as
+    /// [`KReachIndex::query_k`] does.
     pub fn query_k(&self, s: VertexId, t: VertexId, k: u32) -> bool {
-        if k == self.k {
-            self.query(s, t)
-        } else {
-            kreach_obs::observe::note_bfs_fallback();
-            khop_reachable_bidirectional(&self.graph, s, t, k)
-        }
+        self.index.query_k(&self.graph, s, t, k)
     }
 
     /// Inserts one edge; returns whether the graph changed.
@@ -515,11 +304,11 @@ impl DynamicKReach {
         self.apply_all(&[EdgeUpdate::Remove(u, v)]).removes == 1
     }
 
-    /// Applies a batch of updates in order. Graph mutations and cover
-    /// repairs happen immediately; affected cover rows are collected into a
-    /// deduplicated pending set and recomputed **once** at the end of the
-    /// batch, so overlapping row patches coalesce. Returns the counter
-    /// deltas for this call.
+    /// Applies a batch of updates in order. Graph mutations, cover repairs
+    /// and position-list patches happen immediately; affected cover rows are
+    /// collected into a deduplicated pending set and recomputed **once** at
+    /// the end of the batch, so overlapping row patches coalesce. Returns
+    /// the counter deltas for this call.
     pub fn apply_all(&mut self, updates: &[EdgeUpdate]) -> UpdateStats {
         let before = self.stats;
         let mut pending: BTreeSet<u32> = BTreeSet::new();
@@ -529,11 +318,14 @@ impl DynamicKReach {
         if !pending.is_empty() {
             let started = Instant::now();
             for p in pending {
-                self.rows[p as usize] = self.compute_row(self.members[p as usize]);
+                let w = self.index.index_graph().cover_vertices()[p as usize];
+                self.compute_row(w);
+                self.index.index_graph_mut().patch_row(p, 0, &self.row_buf);
                 self.stats.rows_patched += 1;
             }
             self.stats.patch_nanos += started.elapsed().as_nanos() as u64;
         }
+        self.index.compact();
         self.stats.since(before)
     }
 
@@ -541,14 +333,11 @@ impl DynamicKReach {
     /// schedules the affected rows. A rebuild (threshold hit) recomputes
     /// everything, so it drains the pending set.
     fn apply_one(&mut self, update: EdgeUpdate, pending: &mut BTreeSet<u32>) {
-        match update {
+        let (u, v) = match update {
             EdgeUpdate::Insert(u, v) => {
                 if !self.graph.insert_edge(u, v) {
                     self.stats.noops += 1;
                     return;
-                }
-                if self.pos_of.len() < self.graph.vertex_count() {
-                    self.pos_of.resize(self.graph.vertex_count(), NOT_COVERED);
                 }
                 self.stats.inserts += 1;
                 // Cover repair: the new edge must have a covered endpoint.
@@ -570,9 +359,7 @@ impl DynamicKReach {
                 // The freshly repaired row was computed post-insert already;
                 // skip it instead of scheduling a redundant recomputation.
                 self.schedule_affected(u, repaired, pending);
-                if self.maybe_rebuild() {
-                    pending.clear();
-                }
+                (u, v)
             }
             EdgeUpdate::Remove(u, v) => {
                 // Affected rows are found in the PRE-removal graph: only
@@ -586,10 +373,14 @@ impl DynamicKReach {
                 debug_assert!(removed);
                 self.stats.removes += 1;
                 self.removals_since_rebuild += 1;
-                if self.maybe_rebuild() {
-                    pending.clear();
-                }
+                (u, v)
             }
+        };
+        for w in [u, v] {
+            self.index.refresh_lists(&self.graph, w);
+        }
+        if self.maybe_rebuild() {
+            pending.clear();
         }
     }
 
@@ -602,11 +393,12 @@ impl DynamicKReach {
         if u.index() >= self.graph.vertex_count() {
             return;
         }
+        let index = self.index.index_graph();
         let reach = self
             .explorer
-            .explore(&self.graph, u, self.k - 1, Direction::Backward);
+            .explore(&self.graph, u, self.index.k() - 1, Direction::Backward);
         for &(w, _) in reach {
-            if let Some(p) = covered(&self.pos_of, w) {
+            if let Some(p) = index.position(w) {
                 if Some(p) != skip && !pending.insert(p) {
                     self.stats.rows_coalesced += 1;
                 }
@@ -615,22 +407,21 @@ impl DynamicKReach {
     }
 
     /// One forward k-hop BFS from `w`, keeping reached cover vertices
-    /// (Algorithm 1, Lines 4–13) — the row of `w`, sorted by target position.
-    /// The BFS runs in the reusable explorer, so only the row is allocated.
-    fn compute_row(&mut self, w: VertexId) -> Vec<(u32, u32)> {
+    /// (Algorithm 1, Lines 4–13) — the row of `w` with true distances,
+    /// sorted by target position, left in `row_buf`.
+    fn compute_row(&mut self, w: VertexId) {
+        let index = self.index.index_graph();
         let reach = self
             .explorer
-            .explore(&self.graph, w, self.k, Direction::Forward);
-        let row = &mut self.row_buf;
-        row.clear();
-        row.extend(
+            .explore(&self.graph, w, self.index.k(), Direction::Forward);
+        self.row_buf.clear();
+        self.row_buf.extend(
             reach
                 .iter()
                 .filter(|&&(v, _)| v != w)
-                .filter_map(|&(v, d)| covered(&self.pos_of, v).map(|p| (p, d))),
+                .filter_map(|&(v, d)| index.position(v).map(|p| (p, d))),
         );
-        row.sort_unstable_by_key(|&(p, _)| p);
-        row.to_vec()
+        self.row_buf.sort_unstable_by_key(|&(p, _)| p);
     }
 
     /// Appends `w` to the cover: computes its row with one forward k-BFS and
@@ -638,25 +429,24 @@ impl DynamicKReach {
     /// Rows stay sorted because the new position is the largest so far.
     /// Returns the new cover position.
     fn add_to_cover(&mut self, w: VertexId) -> u32 {
-        debug_assert!(!self.in_cover(w));
         let started = Instant::now();
-        let p = self.members.len() as u32;
-        self.members.push(w);
-        self.pos_of[w.index()] = p;
+        let p = self.index.index_graph_mut().push_cover(w);
         // Existing cover vertices that reach w gain the edge (them → w).
         let back = self
             .explorer
-            .explore(&self.graph, w, self.k, Direction::Backward);
+            .explore(&self.graph, w, self.index.k(), Direction::Backward);
         for &(x, d) in back {
             if x == w {
                 continue;
             }
-            if let Some(px) = covered(&self.pos_of, x) {
-                self.rows[px as usize].push((p, d));
+            let index = self.index.index_graph_mut();
+            if let Some(px) = index.position(x) {
+                // p is the largest position, so the row stays sorted.
+                index.patch_row(px, index.out_degree_by_pos(px), &[(p, d)]);
             }
         }
-        let row = self.compute_row(w);
-        self.rows.push(row);
+        self.compute_row(w);
+        self.index.index_graph_mut().patch_row(p, 0, &self.row_buf);
         self.stats.cover_additions += 1;
         self.stats.rows_patched += 1;
         self.stats.repair_nanos += started.elapsed().as_nanos() as u64;
@@ -668,7 +458,7 @@ impl DynamicKReach {
     /// have been removed that a fresh (smaller) cover is worth computing.
     /// Returns whether a rebuild happened.
     fn maybe_rebuild(&mut self) -> bool {
-        let grown = self.members.len().saturating_sub(self.cover_at_rebuild);
+        let grown = self.cover_size().saturating_sub(self.cover_at_rebuild);
         let growth_allowed = self
             .options
             .min_cover_growth
@@ -687,22 +477,8 @@ impl DynamicKReach {
     /// Full Algorithm-1 build: fresh vertex cover, fresh BFS sweep.
     fn rebuild(&mut self) {
         let started = Instant::now();
-        let cover = VertexCover::compute(&self.graph, self.options.build.cover_strategy);
-        self.members = cover.members().to_vec();
-        self.pos_of = vec![NOT_COVERED; self.graph.vertex_count()];
-        for (p, &v) in self.members.iter().enumerate() {
-            self.pos_of[v.index()] = p as u32;
-        }
-        // One lane pass per 64 members; each row is copied out at its exact
-        // length.
-        let mut lanes = LaneSweep::new();
-        let mut rows = Vec::with_capacity(self.members.len());
-        for pass in self.members.chunks(SWEEP_LANES) {
-            let swept = lanes.sweep(&self.graph, pass, self.k, &self.pos_of);
-            rows.extend(swept.iter().map(|row| row.to_vec()));
-        }
-        self.rows = rows;
-        self.cover_at_rebuild = self.members.len();
+        self.index = KReachIndex::build(&self.graph, self.index.k(), self.options.build);
+        self.cover_at_rebuild = self.cover_size();
         self.edges_at_rebuild = self.graph.edge_count();
         self.removals_since_rebuild = 0;
         self.stats.full_rebuilds += 1;
@@ -714,6 +490,7 @@ impl DynamicKReach {
 mod tests {
     use super::*;
     use kreach_graph::traversal::khop_reachable_bfs;
+    use proptest::prelude::*;
 
     fn check_exact(dynk: &DynamicKReach) {
         let g = dynk.graph();
@@ -934,7 +711,7 @@ mod tests {
     /// has no redundant member.
     fn assert_cover_minimal(dynk: &DynamicKReach) {
         let g = dynk.graph();
-        for &v in dynk.raw_state().0 {
+        for &v in dynk.index().index_graph().cover_vertices() {
             assert!(
                 g.out_neighbors(v)
                     .iter()
@@ -1077,7 +854,7 @@ mod tests {
             EdgeUpdate::Insert(VertexId(4), VertexId(6)),
             EdgeUpdate::Remove(VertexId(0), VertexId(5)),
         ]);
-        let index = dynk.to_index();
+        let index = dynk.index();
         let csr = dynk.snapshot_csr();
         assert_eq!(index.cover_size(), dynk.cover_size());
         for s in csr.vertices() {
@@ -1101,6 +878,190 @@ mod tests {
         dynk.insert_edge(VertexId(2), VertexId(3)); // no-op
         assert_eq!(dynk.graph().version(), 2);
         check_exact(&dynk);
+    }
+
+    /// Checks the maintained index against a fresh build on its own cover:
+    /// every row (targets and clamped weights), every dense slot's class
+    /// bits, every uncovered vertex's position lists, and every answer
+    /// against BFS.
+    fn check_maintained(dynk: &DynamicKReach, build: BuildOptions) -> Result<(), TestCaseError> {
+        use crate::index_graph::CoverIndexGraph;
+        use crate::vertex_cover::VertexCover;
+        use crate::weights::PackedWeights;
+        use kreach_graph::traversal::bfs;
+
+        let csr = dynk.snapshot_csr();
+        let (index, k, n) = (dynk.index(), dynk.k(), csr.vertex_count());
+        let ig = index.index_graph();
+        let cover = VertexCover::from_members(n, ig.cover_vertices().iter().copied());
+        let fresh = KReachIndex::build_with_cover(&csr, k, &cover, build);
+        let rows = |ig: &CoverIndexGraph<PackedWeights>| -> Vec<Vec<(u32, u32)>> {
+            (0..ig.cover_size() as u32)
+                .map(|p| ig.out_edges_by_pos(p).collect())
+                .collect()
+        };
+        prop_assert_eq!(rows(ig), rows(fresh.index_graph()), "rows");
+
+        let accel = ig.accel_parts();
+        let clamp_min = ig.weights().clamp_min();
+        let words = accel.words_per_class;
+        prop_assert!(words * 64 >= ig.cover_size(), "bitsets span the cover");
+        for (p, &slot) in accel.dense_of.iter().enumerate() {
+            if slot == u32::MAX {
+                continue;
+            }
+            for c in 0..accel.classes {
+                let mut want = vec![0u64; words];
+                for (t, w) in ig.out_edges_by_pos(p as u32) {
+                    if w - clamp_min <= c {
+                        want[t as usize / 64] |= 1 << (t % 64);
+                    }
+                }
+                let base = (slot as usize * accel.classes as usize + c as usize) * words;
+                prop_assert_eq!(
+                    &accel.dense_words[base..base + words],
+                    &want[..],
+                    "dense row {} class {}",
+                    p,
+                    c
+                );
+            }
+        }
+
+        let lists = |index: &KReachIndex, v| {
+            let adj = index.pos_adj(&csr);
+            (adj.out_pos(v).to_vec(), adj.in_pos(v).to_vec())
+        };
+        for v in csr.vertices().filter(|&v| !ig.in_cover(v)) {
+            prop_assert_eq!(lists(index, v), lists(&fresh, v), "position lists of {}", v);
+        }
+
+        let sources: Vec<VertexId> = csr.vertices().collect();
+        let reach: Vec<Vec<bool>> = sources
+            .iter()
+            .map(|&s| {
+                let mut row = vec![false; n];
+                for (v, _) in bfs(&csr, s, Direction::Forward, Some(k)).reached_with_distance() {
+                    row[v.index()] = true;
+                }
+                row
+            })
+            .collect();
+        let mut answers = vec![false; n];
+        for t in csr.vertices() {
+            dynk.query_group(&sources, t, &mut answers);
+            for (&s, &answer) in sources.iter().zip(&answers) {
+                prop_assert_eq!(answer, reach[s.index()][t.index()], "k={} ({},{})", k, s, t);
+            }
+        }
+        Ok(())
+    }
+
+    /// One drawn update against the current graph: `kind` 0–1 inserts
+    /// between existing vertices, 2 removes an existing edge, 3 inserts
+    /// towards a new vertex.
+    fn draw_update(dynk: &DynamicKReach, (kind, (a, b)): (u32, (u32, u32))) -> EdgeUpdate {
+        let g = dynk.graph();
+        let n = g.vertex_count() as u32;
+        let edges: Vec<(VertexId, VertexId)> = g
+            .vertices()
+            .flat_map(|u| g.out_neighbors(u).iter().map(move |&v| (u, v)))
+            .collect();
+        match kind {
+            2 if !edges.is_empty() => {
+                let (u, v) = edges[a as usize % edges.len()];
+                EdgeUpdate::Remove(u, v)
+            }
+            3 => EdgeUpdate::Insert(VertexId(a % n), VertexId(n + b % 4)),
+            _ => EdgeUpdate::Insert(VertexId(a % n), VertexId(b % n)),
+        }
+    }
+
+    #[test]
+    fn maintained_index_matches_a_fresh_build_under_random_batches() {
+        use proptest::collection::vec;
+
+        let case = (
+            (8u32..32, vec((0u32..32, 0u32..32), 0..64)),
+            (
+                vec(vec((0u32..4, (0u32..64, 0u32..64)), 1..8), 1..10),
+                ((1u32..5, 0usize..3), proptest::bool::ANY),
+            ),
+        );
+        let config = ProptestConfig {
+            cases: 40,
+            ..ProptestConfig::default()
+        };
+        let mut rng = proptest::rng_for("dynamic::maintained_index", &config);
+        let mut compactions = 0;
+        for case_no in 0..config.cases {
+            let ((n, edges), (batches, ((k, threshold_i), eager))) = case.generate(&mut rng);
+            let g = DiGraph::from_edges(n as usize, edges.iter().map(|&(u, v)| (u % n, v % n)));
+            let mut options = DynamicOptions::default();
+            options.build.dense_row_threshold = [Some(1), None, Some(usize::MAX)][threshold_i];
+            if eager {
+                // Small thresholds force re-covers mid-sequence.
+                options.min_cover_growth = 2;
+                options.max_cover_growth = 0.0;
+                options.min_removal_trigger = 3;
+                options.max_removal_fraction = 0.0;
+            }
+            let mut dynk = DynamicKReach::new(g, k, options);
+            let outcome = (|| {
+                check_maintained(&dynk, options.build)?;
+                for batch in &batches {
+                    let updates: Vec<EdgeUpdate> =
+                        batch.iter().map(|&op| draw_update(&dynk, op)).collect();
+                    let (bytes, rebuilds) = (
+                        dynk.index().index_graph().size_bytes(),
+                        dynk.stats().full_rebuilds,
+                    );
+                    dynk.apply_all(&updates);
+                    // Patches only ever grow the rows' columns; only a
+                    // compaction (or a rebuild) shrinks them.
+                    if dynk.index().index_graph().size_bytes() < bytes
+                        && dynk.stats().full_rebuilds == rebuilds
+                    {
+                        compactions += 1;
+                    }
+                    check_maintained(&dynk, options.build)?;
+                }
+                Ok::<(), TestCaseError>(())
+            })();
+            if let Err(e) = outcome {
+                panic!("case {case_no} (k={k}, {options:?}): {e}");
+            }
+        }
+        assert!(compactions > 0, "no batch compacted the index");
+    }
+
+    #[test]
+    fn cover_growth_past_the_bitset_width_rederives_the_accel() {
+        // A 120-vertex path has a cover of about 60 with every row
+        // non-empty; a dense threshold of 1 makes all of them dense.
+        let g = DiGraph::from_edges(120, (0..119u32).map(|i| (i, i + 1)));
+        let mut options = DynamicOptions {
+            min_cover_growth: 64,
+            ..DynamicOptions::default()
+        };
+        options.build.dense_row_threshold = Some(1);
+        let mut dynk = DynamicKReach::new(g, 3, options);
+        assert!(dynk.cover_size() <= 64);
+        let mut fresh = 120u32;
+        while dynk.cover_size() <= 66 {
+            // A fresh pair forces a repair; linking the path's end to it
+            // splices the new position into existing (dense) rows.
+            dynk.apply_all(&[
+                EdgeUpdate::Insert(VertexId(fresh), VertexId(fresh + 1)),
+                EdgeUpdate::Insert(VertexId(118), VertexId(fresh)),
+            ]);
+            fresh += 2;
+            check_maintained(&dynk, options.build).unwrap();
+        }
+        let index = dynk.index().index_graph();
+        assert_eq!(dynk.stats().full_rebuilds, 0);
+        assert_eq!(index.accel_parts().words_per_class, 2);
+        assert!(index.dense_row_count() > 0);
     }
 
     #[test]

@@ -22,17 +22,22 @@
 //!   ([`kreach_graph::intersect`]) instead of one binary search per
 //!   candidate.
 //!
-//! The bitsets are derived from the CSR once and never change afterwards,
-//! so the paper-shaped index — cover, offsets, targets, packed weights — is
-//! still the single source of truth.
+//! Rows are addressed by `start..end` spans, so the incremental maintainer
+//! ([`crate::dynamic`]) patches this one index in place; every build and
+//! load is the compact CSR of Algorithm 1. The bitsets are derived from the
+//! rows: a patched dense row re-derives its class words, and a cover that
+//! outgrows the bitset width re-derives them all, choosing the dense rows
+//! afresh. So the paper-shaped index — cover, rows, packed weights — stays
+//! the single source of truth.
 
 use crate::weights::WeightStore;
 use kreach_graph::bitset::and_any;
-use kreach_graph::intersect::{gallop_lower_bound, merge_any_match, scan_find, sorted_contains};
+use kreach_graph::intersect::{gallop_lower_bound, scan_find, sorted_contains};
 use kreach_graph::traversal::{LaneSweep, SWEEP_LANES};
 use kreach_graph::{FixedBitSet, GraphView, VertexId};
 use std::cell::RefCell;
 use std::fmt;
+use std::ops::Range;
 
 /// Sentinel for "vertex is not in the cover".
 const NOT_COVERED: u32 = u32::MAX;
@@ -49,6 +54,175 @@ const MAX_DENSE_CLASSES: u32 = 9;
 /// is within a small constant of its sorted-slice form.
 pub fn default_dense_threshold(cover_size: usize) -> usize {
     (cover_size / 16).max(64)
+}
+
+/// [`Spans`] compacts once dead entries exceed one per `COMPACT_RATIO` live
+/// ones, each list counting as one too (a compaction walks every list).
+const COMPACT_RATIO: usize = 4;
+
+/// One flat column of span-addressed lists (row targets, row weights, a
+/// position-list array), moved in step with its [`Spans`].
+pub(crate) trait SpanColumn {
+    /// Appends a copy of the entries in `copy`, then `blank` placeholder
+    /// entries, to be overwritten.
+    fn extend_tail(&mut self, copy: Range<usize>, blank: usize);
+    /// Keeps only the entries of `ranges`, concatenated in order.
+    fn gather(&mut self, ranges: &mut dyn Iterator<Item = Range<usize>>);
+}
+
+impl SpanColumn for Vec<u32> {
+    fn extend_tail(&mut self, copy: Range<usize>, blank: usize) {
+        self.extend_from_within(copy);
+        self.resize(self.len() + blank, 0);
+    }
+
+    fn gather(&mut self, ranges: &mut dyn Iterator<Item = Range<usize>>) {
+        let mut kept = Vec::with_capacity(self.len());
+        ranges.for_each(|range| kept.extend_from_slice(&self[range]));
+        *self = kept;
+    }
+}
+
+impl<W: WeightStore> SpanColumn for W {
+    fn extend_tail(&mut self, copy: Range<usize>, blank: usize) {
+        copy.for_each(|i| self.push(self.get(i)));
+        (0..blank).for_each(|_| self.push(self.clamp_min()));
+    }
+
+    fn gather(&mut self, ranges: &mut dyn Iterator<Item = Range<usize>>) {
+        let mut kept = W::with_clamp(self.clamp_min());
+        ranges.for_each(|range| kept.extend_from(self, range));
+        *self = kept;
+    }
+}
+
+/// Variable-length lists packed into flat columns, list `i` spanning
+/// `start[i]..end(i)`. Built compact (a CSR); a list whose new contents fit
+/// the space it holds is rewritten in place, one that outgrows it moves to
+/// the tail, and [`Spans::compact`] (run once per batch of patches) removes
+/// the dead entries, restoring the CSR, once they exceed one per
+/// [`COMPACT_RATIO`] live.
+#[derive(Debug, Clone)]
+pub(crate) struct Spans {
+    /// List starts, plus the columns' length (the tail) as a last entry —
+    /// exactly the CSR offsets while the lists are compact.
+    start: Vec<u32>,
+    /// List ends, materialized by the first patch; empty while compact,
+    /// when list `i` ends where list `i + 1` starts.
+    end: Vec<u32>,
+    /// Where each list's space ends (a list that shrank keeps it, to grow
+    /// back in place); materialized with `end`.
+    held: Vec<u32>,
+    /// Column entries some list spans.
+    live: usize,
+}
+
+impl Spans {
+    /// Spans over a compact CSR: list `i` is `offsets[i]..offsets[i + 1]`.
+    pub(crate) fn from_offsets(offsets: Vec<u32>) -> Self {
+        Spans {
+            live: offsets[offsets.len() - 1] as usize,
+            start: offsets,
+            end: Vec::new(),
+            held: Vec::new(),
+        }
+    }
+
+    /// Number of lists.
+    pub(crate) fn len(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// The column range of list `i`.
+    #[inline]
+    pub(crate) fn range(&self, i: usize) -> Range<usize> {
+        let end = match self.end.get(i) {
+            Some(&end) => end,
+            None => self.start[i + 1],
+        };
+        self.start[i] as usize..end as usize
+    }
+
+    /// The column ranges of every list, in list order.
+    pub(crate) fn ranges(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        (0..self.len()).map(|i| self.range(i))
+    }
+
+    /// The columns' length: the last entry of `start`.
+    fn tail(&mut self) -> &mut u32 {
+        self.start.last_mut().expect("spans end with the tail")
+    }
+
+    /// Appends an empty list.
+    pub(crate) fn push(&mut self) {
+        let tail = *self.tail();
+        if !self.end.is_empty() {
+            self.end.push(tail);
+            self.held.push(tail);
+        }
+        self.start.push(tail);
+    }
+
+    /// Makes list `i` `len` entries long, keeping its first `keep` entries
+    /// (the rest are to be overwritten), and returns its new range.
+    pub(crate) fn resize(
+        &mut self,
+        i: usize,
+        len: usize,
+        keep: usize,
+        columns: &mut [&mut dyn SpanColumn],
+    ) -> Range<usize> {
+        let old = self.range(i);
+        if self.end.is_empty() {
+            self.end = self.start[1..].to_vec();
+            self.held = self.end.clone();
+        }
+        let tail = *self.tail() as usize;
+        if old.start + len > self.held[i] as usize {
+            let (copy, appended) = if self.held[i] as usize == tail {
+                (0..0, old.start + len - tail)
+            } else {
+                // Moving to the tail, hold an eighth more: a list that keeps
+                // growing (a row gaining an entry per cover repair) then
+                // moves rarely.
+                self.start[i] = tail as u32;
+                (old.start..old.start + keep.min(old.len()), len + len / 8)
+            };
+            for column in columns.iter_mut() {
+                column.extend_tail(copy.clone(), appended - copy.len());
+            }
+            self.held[i] = (tail + appended) as u32;
+            *self.tail() = self.held[i];
+        }
+        self.end[i] = self.start[i] + len as u32;
+        self.live = self.live + len - old.len();
+        self.range(i)
+    }
+
+    /// Rewrites every column with the lists back to back in list order, if
+    /// the dead entries have passed their bound.
+    pub(crate) fn compact(&mut self, columns: &mut [&mut dyn SpanColumn]) {
+        if (*self.tail() as usize - self.live) * COMPACT_RATIO <= self.live + self.len() {
+            return;
+        }
+        for column in columns.iter_mut() {
+            column.gather(&mut self.ranges());
+        }
+        let mut at = 0u32;
+        for i in 0..self.len() {
+            let len = self.range(i).len() as u32;
+            self.start[i] = at;
+            at += len;
+        }
+        *self.tail() = at;
+        self.end = Vec::new();
+        self.held = Vec::new();
+    }
+
+    /// Heap footprint in bytes.
+    pub(crate) fn size_bytes(&self) -> usize {
+        (self.start.len() + self.end.len() + self.held.len()) * std::mem::size_of::<u32>()
+    }
 }
 
 /// The hybrid successor acceleration: distance-bucketed bitsets for
@@ -74,20 +248,24 @@ struct RowAccel {
 }
 
 impl RowAccel {
-    /// Builds the acceleration structure over an assembled CSR, giving rows
-    /// at or above the degree `threshold` the bitset form.
+    /// Builds the acceleration structure over the rows, giving rows at or
+    /// above the degree `threshold` the bitset form, with `classes` weight
+    /// classes: the rows' widest weight span when `None`, found by a scan of
+    /// every weight that a re-derivation can skip by passing the classes it
+    /// had (falling back to the scan if a dense row's weights outgrow them).
     fn build<W: WeightStore>(
-        cover_size: usize,
-        offsets: &[u32],
+        spans: &Spans,
         targets: &[u32],
         weights: &W,
         threshold: usize,
+        classes: Option<u32>,
     ) -> RowAccel {
+        let cover_size = spans.len();
         let clamp_min = weights.clamp_min();
-        let classes = (0..weights.len())
-            .map(|i| weights.get(i) - clamp_min + 1)
-            .max()
-            .unwrap_or(1);
+        let classes = classes.unwrap_or_else(|| {
+            let widest = spans.ranges().flatten().map(|i| weights.get(i) - clamp_min);
+            widest.max().map_or(1, |offset| offset + 1)
+        });
         let mut accel = RowAccel {
             threshold,
             classes,
@@ -101,25 +279,47 @@ impl RowAccel {
         }
         let row_words = accel.classes as usize * accel.words_per_class;
         for p in 0..cover_size {
-            let lo = offsets[p] as usize;
-            let hi = offsets[p + 1] as usize;
-            if hi - lo < threshold {
+            let range = spans.range(p);
+            if range.len() < threshold {
                 continue;
             }
-            let base = accel.dense_words.len();
-            accel.dense_words.resize(base + row_words, 0);
-            for (i, &target) in targets.iter().enumerate().take(hi).skip(lo) {
-                let offset = weights.get(i) - clamp_min;
-                let (word, bit) = (target as usize / 64, target as usize % 64);
-                // Cumulative: the target is visible from its own class up.
-                for c in offset as usize..classes as usize {
-                    accel.dense_words[base + c * accel.words_per_class + word] |= 1u64 << bit;
-                }
+            let slot = accel.dense_rows;
+            accel.dense_words.resize((slot + 1) * row_words, 0);
+            if !accel.fill(slot, targets, weights, range) {
+                return Self::build(spans, targets, weights, threshold, None);
             }
-            accel.dense_of[p] = accel.dense_rows as u32;
+            accel.dense_of[p] = slot as u32;
             accel.dense_rows += 1;
         }
         accel
+    }
+
+    /// Derives the class bits of a dense slot from its row's entries `range`.
+    /// Returns `false` if a weight lies past the top class (the slot is then
+    /// partly filled, to be rebuilt).
+    fn fill<W: WeightStore>(
+        &mut self,
+        slot: usize,
+        targets: &[u32],
+        weights: &W,
+        range: Range<usize>,
+    ) -> bool {
+        let clamp_min = weights.clamp_min();
+        let row_words = self.classes as usize * self.words_per_class;
+        let base = slot * row_words;
+        self.dense_words[base..base + row_words].fill(0);
+        for i in range {
+            let offset = weights.get(i) - clamp_min;
+            if offset >= self.classes {
+                return false;
+            }
+            let (word, bit) = (targets[i] as usize / 64, targets[i] as usize % 64);
+            // Cumulative: the target is visible from its own class up.
+            for c in offset as usize..self.classes as usize {
+                self.dense_words[base + c * self.words_per_class + word] |= 1u64 << bit;
+            }
+        }
+        true
     }
 
     /// The dense-row slot of a cover position, if it has one.
@@ -195,14 +395,15 @@ pub struct CoverIndexGraph<W> {
     cover_pos: Vec<u32>,
     /// Maps a cover position back to the input-graph vertex.
     cover: Vec<VertexId>,
-    /// CSR offsets over cover positions.
-    offsets: Vec<u32>,
-    /// Edge targets, as cover positions, sorted within each source range.
+    /// Row spans over `targets`/`weights`, one per cover position (the CSR
+    /// offsets, until the maintainer patches a row).
+    spans: Spans,
+    /// Edge targets, as cover positions, sorted within each row.
     targets: Vec<u32>,
     /// Per-edge clamped distances, parallel to `targets`.
     weights: W,
-    /// Hybrid successor acceleration, derived from the CSR once at assembly
-    /// (or installed from a v3 file) and immutable afterwards.
+    /// Hybrid successor acceleration, derived from the rows at assembly (or
+    /// installed from a v3 file) and kept in step with every row patch.
     accel: RowAccel,
 }
 
@@ -272,14 +473,21 @@ impl<W: WeightStore> CsrRows<W> {
         threshold: Option<usize>,
     ) -> CoverIndexGraph<W> {
         self.targets.shrink_to_fit();
-        CoverIndexGraph::from_raw_parts_with_threshold(
-            n,
+        let mut cover_pos = vec![NOT_COVERED; n];
+        for (p, &v) in cover.iter().enumerate() {
+            cover_pos[v.index()] = p as u32;
+        }
+        let threshold = threshold.unwrap_or_else(|| default_dense_threshold(cover.len()));
+        let spans = Spans::from_offsets(self.offsets);
+        let accel = RowAccel::build(&spans, &self.targets, &self.weights, threshold, None);
+        CoverIndexGraph {
+            cover_pos,
             cover,
-            self.offsets,
-            self.targets,
-            self.weights,
-            threshold,
-        )
+            spans,
+            targets: self.targets,
+            weights: self.weights,
+            accel,
+        }
     }
 }
 
@@ -325,59 +533,35 @@ impl<W: WeightStore> CoverIndexGraph<W> {
         csr.into_graph(n, cover, threshold)
     }
 
-    /// Reassembles an index graph from previously serialized raw parts,
-    /// rebuilding the (derived) hybrid acceleration with the default
-    /// threshold.
-    ///
-    /// # Panics
-    /// Panics if the CSR pieces are inconsistent (offset/target/weight length
-    /// mismatches, cover vertices out of range).
-    pub fn from_raw_parts(
-        n: usize,
-        cover: Vec<VertexId>,
-        offsets: Vec<u32>,
-        targets: Vec<u32>,
-        weights: W,
-    ) -> Self {
-        Self::from_raw_parts_with_threshold(n, cover, offsets, targets, weights, None)
-    }
-
-    /// [`CoverIndexGraph::from_raw_parts`] with an explicit dense-row
-    /// threshold (see [`CoverIndexGraph::assemble_with_threshold`]).
-    pub fn from_raw_parts_with_threshold(
+    /// Reassembles an index graph from serialized raw parts (a v2 file, a
+    /// checkpoint's rows), deriving the hybrid acceleration at the dense-row
+    /// `threshold` (see [`CoverIndexGraph::assemble_with_threshold`]). The
+    /// parts are untrusted: every structural invariant is checked as in
+    /// [`CoverIndexGraph::from_raw_parts_with_accel`], and a violation is an
+    /// `Err`, never a panic.
+    pub fn try_from_raw_parts(
         n: usize,
         cover: Vec<VertexId>,
         offsets: Vec<u32>,
         targets: Vec<u32>,
         weights: W,
         threshold: Option<usize>,
-    ) -> Self {
-        assert_eq!(
-            offsets.len(),
-            cover.len() + 1,
-            "offsets must have cover_size + 1 entries"
-        );
-        assert_eq!(
-            *offsets.last().unwrap_or(&0) as usize,
-            targets.len(),
-            "last offset must equal the number of targets"
-        );
-        assert_eq!(targets.len(), weights.len(), "one weight per target");
-        let mut cover_pos = vec![NOT_COVERED; n];
-        for (p, &v) in cover.iter().enumerate() {
-            assert!(v.index() < n, "cover vertex {v} out of range");
-            cover_pos[v.index()] = p as u32;
-        }
+    ) -> Result<Self, String> {
         let threshold = threshold.unwrap_or_else(|| default_dense_threshold(cover.len()));
-        let accel = RowAccel::build(cover.len(), &offsets, &targets, &weights, threshold);
-        CoverIndexGraph {
-            cover_pos,
+        let sparse = vec![NOT_DENSE; cover.len()];
+        let mut graph = Self::from_raw_parts_with_accel(
+            n,
             cover,
             offsets,
             targets,
             weights,
-            accel,
-        }
+            threshold,
+            1,
+            sparse,
+            Vec::new(),
+        )?;
+        graph.rebuild_accel(None);
+        Ok(graph)
     }
 
     /// Builds the index graph over `cover` by Algorithm 1, Lines 4–13: a
@@ -478,6 +662,13 @@ impl<W: WeightStore> CoverIndexGraph<W> {
         if targets.iter().any(|&t| t >= cover_len) {
             return Err(format!("target position out of range (cover {cover_len})"));
         }
+        if let Some(p) = offsets.windows(2).position(|w| {
+            targets[w[0] as usize..w[1] as usize]
+                .windows(2)
+                .any(|t| t[0] >= t[1])
+        }) {
+            return Err(format!("row {p} is not strictly sorted by target position"));
+        }
         let mut cover_pos = vec![NOT_COVERED; n];
         for (p, &v) in cover.iter().enumerate() {
             if v.index() >= n {
@@ -536,7 +727,7 @@ impl<W: WeightStore> CoverIndexGraph<W> {
         Ok(CoverIndexGraph {
             cover_pos,
             cover,
-            offsets,
+            spans: Spans::from_offsets(offsets),
             targets,
             weights,
             accel,
@@ -566,7 +757,7 @@ impl<W: WeightStore> CoverIndexGraph<W> {
 
     /// Number of index edges `|E_I|`.
     pub fn edge_count(&self) -> usize {
-        self.targets.len()
+        self.spans.live
     }
 
     /// Number of vertices of the underlying input graph.
@@ -617,21 +808,20 @@ impl<W: WeightStore> CoverIndexGraph<W> {
     /// rows binary-search the sorted target range (`O(log outDeg(u, I))`).
     #[inline]
     pub fn edge_weight_by_pos(&self, pu: u32, pv: u32) -> Option<u32> {
-        let lo = self.offsets[pu as usize] as usize;
-        self.row_find(pu, pv).map(|i| self.weights.get(lo + i))
+        self.row_find(pu, pv).map(|i| self.weights.get(i))
     }
 
-    /// Index of `pv` within row `pu`'s target slice, if present.
+    /// Column index of `pv` within row `pu`, if present.
     #[inline]
     fn row_find(&self, pu: u32, pv: u32) -> Option<usize> {
-        let lo = self.offsets[pu as usize] as usize;
-        let hi = self.offsets[pu as usize + 1] as usize;
-        let row = &self.targets[lo..hi];
-        if row.len() <= SHORT_ROW_SCAN {
+        let range = self.spans.range(pu as usize);
+        let row = &self.targets[range.clone()];
+        let found = if row.len() <= SHORT_ROW_SCAN {
             scan_find(row, pv)
         } else {
             row.binary_search(&pv).ok()
-        }
+        };
+        found.map(|i| range.start + i)
     }
 
     /// Whether the index edge `(pu, pv)` exists: one word probe on a dense
@@ -770,9 +960,9 @@ impl<W: WeightStore> CoverIndexGraph<W> {
     /// accepting the first common target with weight ≤ `bound`.
     fn sparse_any_le(&self, pu: u32, candidates: &[u32], bound: u32) -> bool {
         kreach_obs::observe::note_sparse_gallop();
-        let lo = self.offsets[pu as usize] as usize;
-        let hi = self.offsets[pu as usize + 1] as usize;
-        let row = &self.targets[lo..hi];
+        let range = self.spans.range(pu as usize);
+        let lo = range.start;
+        let row = &self.targets[range];
         // Indices into the row recover the parallel weight entries.
         let (mut i, mut j) = (0usize, 0usize);
         while i < row.len() && j < candidates.len() {
@@ -801,15 +991,15 @@ impl<W: WeightStore> CoverIndexGraph<W> {
 
     /// Out-degree of a cover vertex inside the index graph.
     pub fn out_degree_by_pos(&self, pu: u32) -> usize {
-        (self.offsets[pu as usize + 1] - self.offsets[pu as usize]) as usize
+        self.spans.range(pu as usize).len()
     }
 
     /// Iterates over the out-edges of a cover position as
     /// `(target position, weight)` pairs.
     pub fn out_edges_by_pos(&self, pu: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
-        let lo = self.offsets[pu as usize] as usize;
-        let hi = self.offsets[pu as usize + 1] as usize;
-        (lo..hi).map(move |i| (self.targets[i], self.weights.get(i)))
+        self.spans
+            .range(pu as usize)
+            .map(move |i| (self.targets[i], self.weights.get(i)))
     }
 
     /// Iterates over all index edges as `(source vertex, target vertex, weight)`.
@@ -821,13 +1011,14 @@ impl<W: WeightStore> CoverIndexGraph<W> {
     }
 
     /// Heap footprint of the paper-shaped index structure in bytes: position
-    /// map, cover list, CSR offsets, targets and weights. This is what
-    /// Table 4 reports; the derived hybrid acceleration is accounted
-    /// separately by [`CoverIndexGraph::accel_size_bytes`].
+    /// map, cover list, row spans (the CSR offsets, plus row ends once
+    /// patched), targets and weights. This is what Table 4 reports; the
+    /// derived hybrid acceleration is accounted separately by
+    /// [`CoverIndexGraph::accel_size_bytes`].
     pub fn size_bytes(&self) -> usize {
         self.cover_pos.len() * std::mem::size_of::<u32>()
             + self.cover.len() * std::mem::size_of::<VertexId>()
-            + self.offsets.len() * std::mem::size_of::<u32>()
+            + self.spans.size_bytes()
             + self.targets.len() * std::mem::size_of::<u32>()
             + self.weights.size_bytes()
     }
@@ -838,8 +1029,84 @@ impl<W: WeightStore> CoverIndexGraph<W> {
     }
 
     /// Raw CSR pieces `(cover, offsets, targets)` for serialization.
+    ///
+    /// # Panics
+    /// Panics if a patch has left the rows gapped (only the incremental
+    /// maintainer patches, and it checkpoints row by row through
+    /// [`CoverIndexGraph::out_edges_by_pos`]); every build and load is
+    /// compact.
     pub fn raw_parts(&self) -> (&[VertexId], &[u32], &[u32]) {
-        (&self.cover, &self.offsets, &self.targets)
+        let Spans {
+            start, end, live, ..
+        } = &self.spans;
+        let compact =
+            *live == self.targets.len() && end.iter().zip(&start[1..]).all(|(e, s)| e == s);
+        assert!(compact, "raw CSR parts of a patched, gapped index graph");
+        (&self.cover, start, &self.targets)
+    }
+
+    /// Grows the vertex → position map to `n` input vertices; the new
+    /// vertices are uncovered.
+    pub(crate) fn grow_vertices(&mut self, n: usize) {
+        if self.cover_pos.len() < n {
+            self.cover_pos.resize(n, NOT_COVERED);
+        }
+    }
+
+    /// Appends `v` to the cover with an empty, sparse row and returns its
+    /// position. A cover that outgrows the bitset width re-derives the
+    /// acceleration.
+    pub(crate) fn push_cover(&mut self, v: VertexId) -> u32 {
+        debug_assert!(!self.in_cover(v));
+        self.grow_vertices(v.index() + 1);
+        let p = self.cover.len() as u32;
+        self.cover.push(v);
+        self.cover_pos[v.index()] = p;
+        self.spans.push();
+        self.accel.dense_of.push(NOT_DENSE);
+        if self.cover.len() > self.accel.words_per_class * 64 {
+            self.rebuild_accel(Some(self.accel.classes));
+        }
+        p
+    }
+
+    /// Rewrites row `pu` as its first `keep` entries followed by `fresh`:
+    /// `(target position, distance)` pairs sorted by position, past every
+    /// kept target, each distance clamped to the store's `clamp_min` as the
+    /// sweep clamps it. A dense row re-derives its class bits.
+    pub(crate) fn patch_row(&mut self, pu: u32, keep: usize, fresh: &[(u32, u32)]) {
+        let columns: &mut [&mut dyn SpanColumn] = &mut [&mut self.targets, &mut self.weights];
+        let range = self
+            .spans
+            .resize(pu as usize, keep + fresh.len(), keep, columns);
+        let clamp_min = self.weights.clamp_min();
+        for (i, &(pv, dist)) in (range.start + keep..).zip(fresh) {
+            debug_assert!(
+                i == range.start || self.targets[i - 1] < pv,
+                "row {pu} stays sorted"
+            );
+            self.targets[i] = pv;
+            self.weights.set(i, dist.max(clamp_min));
+        }
+        if let Some(slot) = self.accel.slot(pu) {
+            if !self.accel.fill(slot, &self.targets, &self.weights, range) {
+                self.rebuild_accel(None);
+            }
+        }
+    }
+
+    /// Compacts the rows once patches have left enough dead space.
+    pub(crate) fn compact(&mut self) {
+        self.spans
+            .compact(&mut [&mut self.targets, &mut self.weights]);
+    }
+
+    /// Re-derives the acceleration from the rows, choosing the dense rows
+    /// afresh at the same degree threshold (see [`RowAccel::build`] for
+    /// `classes`).
+    fn rebuild_accel(&mut self, classes: Option<u32>) {
+        let (spans, threshold) = (&self.spans, self.accel.threshold);
+        self.accel = RowAccel::build(spans, &self.targets, &self.weights, threshold, classes);
     }
 }
 
@@ -896,17 +1163,6 @@ impl<W: WeightStore> PreparedCandidates<'_, W> {
             None => self.ig.sparse_any_le(pu, self.candidates, bound),
         }
     }
-}
-
-/// Re-export for row-state consumers ([`crate::dynamic`]) that keep sorted
-/// `(position, distance)` rows outside a [`CoverIndexGraph`].
-pub use kreach_graph::intersect::sorted_any_common;
-
-/// Whether any entry of a sorted `(position, distance)` row matches a sorted
-/// candidate list with distance ≤ `bound` (galloping merge; shared by the
-/// dynamic maintainer's Case 2–4 paths).
-pub fn row_any_dist_le(row: &[(u32, u32)], candidates: &[u32], bound: u32) -> bool {
-    merge_any_match(row, candidates, |e| e.0, |e| e.1 <= bound)
 }
 
 impl<W: WeightStore> fmt::Debug for CoverIndexGraph<W> {
@@ -1174,6 +1430,55 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn spans_patch_lists_in_place_and_compact_back_to_a_csr() {
+        let mut model: Vec<Vec<u32>> = vec![vec![1, 2], vec![], vec![3], vec![4, 5, 6], vec![7]];
+        let mut offsets = vec![0u32];
+        let mut column: Vec<u32> = Vec::new();
+        for list in &model {
+            column.extend(list);
+            offsets.push(column.len() as u32);
+        }
+        let mut spans = Spans::from_offsets(offsets);
+        let (mut compactions, mut next) = (0, 100u32);
+        for step in 0..300usize {
+            if step % 50 == 49 {
+                spans.push();
+                model.push(Vec::new());
+            }
+            let i = step * 7 % model.len();
+            let len = step * 5 % 7;
+            let keep = (step % 4).min(len).min(model[i].len());
+            let range = spans.resize(i, len, keep, &mut [&mut column]);
+            model[i].truncate(keep);
+            for slot in &mut column[range.start + keep..range.end] {
+                *slot = next;
+                model[i].push(next);
+                next += 1;
+            }
+            let before = column.len();
+            spans.compact(&mut [&mut column]);
+            if column.len() < before {
+                // A compaction leaves a CSR: each list ends where the next starts.
+                compactions += 1;
+                assert!(spans.end.is_empty() && spans.live == column.len());
+            }
+            let dead = column.len() - spans.live;
+            assert!(dead * COMPACT_RATIO <= spans.live + spans.len());
+            for (j, list) in model.iter().enumerate() {
+                assert_eq!(
+                    &column[spans.range(j)],
+                    &list[..],
+                    "list {j} at step {step}"
+                );
+            }
+        }
+        assert!(
+            compactions > 0,
+            "the dead bound must have forced a compaction"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The k-reach index: construction (Algorithm 1) and query processing
 //! (Algorithm 2).
 
-use crate::index_graph::CoverIndexGraph;
+use crate::index_graph::{CoverIndexGraph, Spans};
 use crate::stats::IndexStats;
 use crate::vertex_cover::{CoverStrategy, VertexCover};
 use crate::weights::PackedWeights;
@@ -188,58 +188,89 @@ pub enum QueryWitness {
 /// sorted lists against index rows directly instead of round-tripping
 /// through `cover_pos[]` once per neighbour per query.
 ///
-/// Covered vertices get empty ranges (their lists are never consulted).
-#[derive(Debug, Clone, Default)]
-struct PosAdjacency {
-    out_off: Vec<u32>,
+/// Covered vertices get empty lists (they are never consulted). The lists
+/// are span-addressed like the index rows, so the incremental maintainer
+/// patches them edge by edge.
+#[derive(Debug, Clone)]
+pub(crate) struct PosAdjacency {
+    out: Spans,
     out_pos: Vec<u32>,
-    in_off: Vec<u32>,
+    inn: Spans,
     in_pos: Vec<u32>,
 }
 
 impl PosAdjacency {
     fn build<G: GraphView>(g: &G, index: &CoverIndexGraph<PackedWeights>) -> Self {
         let n = g.vertex_count();
-        let mut adj = PosAdjacency {
-            out_off: Vec::with_capacity(n + 1),
-            out_pos: Vec::new(),
-            in_off: Vec::with_capacity(n + 1),
-            in_pos: Vec::new(),
-        };
-        adj.out_off.push(0);
-        adj.in_off.push(0);
+        let (mut out_off, mut out_pos) = (Vec::with_capacity(n + 1), Vec::new());
+        let (mut in_off, mut in_pos) = (Vec::with_capacity(n + 1), Vec::new());
+        out_off.push(0);
+        in_off.push(0);
         for v in g.vertices() {
             if !index.in_cover(v) {
-                let start = adj.out_pos.len();
-                adj.out_pos
-                    .extend(g.out_neighbors(v).iter().filter_map(|&u| index.position(u)));
-                adj.out_pos[start..].sort_unstable();
-                let start = adj.in_pos.len();
-                adj.in_pos
-                    .extend(g.in_neighbors(v).iter().filter_map(|&u| index.position(u)));
-                adj.in_pos[start..].sort_unstable();
+                translate_into(&mut out_pos, g.out_neighbors(v), index);
+                translate_into(&mut in_pos, g.in_neighbors(v), index);
             }
-            adj.out_off.push(adj.out_pos.len() as u32);
-            adj.in_off.push(adj.in_pos.len() as u32);
+            out_off.push(out_pos.len() as u32);
+            in_off.push(in_pos.len() as u32);
         }
-        adj
+        PosAdjacency {
+            out: Spans::from_offsets(out_off),
+            out_pos,
+            inn: Spans::from_offsets(in_off),
+            in_pos,
+        }
     }
 
     #[inline]
-    fn out_pos(&self, v: VertexId) -> &[u32] {
-        &self.out_pos[self.out_off[v.index()] as usize..self.out_off[v.index() + 1] as usize]
+    pub(crate) fn out_pos(&self, v: VertexId) -> &[u32] {
+        &self.out_pos[self.out.range(v.index())]
     }
 
     #[inline]
-    fn in_pos(&self, v: VertexId) -> &[u32] {
-        &self.in_pos[self.in_off[v.index()] as usize..self.in_off[v.index() + 1] as usize]
+    pub(crate) fn in_pos(&self, v: VertexId) -> &[u32] {
+        &self.in_pos[self.inn.range(v.index())]
+    }
+
+    /// Re-derives `v`'s lists from `g`: the sorted positions of its
+    /// neighbours while it is uncovered, nothing once it is covered.
+    fn refresh<G: GraphView>(
+        &mut self,
+        g: &G,
+        index: &CoverIndexGraph<PackedWeights>,
+        v: VertexId,
+    ) {
+        let lists = [
+            (&mut self.out, &mut self.out_pos, g.out_neighbors(v)),
+            (&mut self.inn, &mut self.in_pos, g.in_neighbors(v)),
+        ];
+        for (spans, column, neighbors) in lists {
+            let mut list = Vec::new();
+            if !index.in_cover(v) {
+                translate_into(&mut list, neighbors, index);
+            }
+            let range = spans.resize(v.index(), list.len(), 0, &mut [&mut *column]);
+            column[range].copy_from_slice(&list);
+        }
     }
 
     /// Heap footprint of the pre-translation tables in bytes.
     fn size_bytes(&self) -> usize {
-        (self.out_off.len() + self.out_pos.len() + self.in_off.len() + self.in_pos.len())
-            * std::mem::size_of::<u32>()
+        self.out.size_bytes()
+            + self.inn.size_bytes()
+            + (self.out_pos.len() + self.in_pos.len()) * std::mem::size_of::<u32>()
     }
+}
+
+/// Appends the sorted cover positions of `neighbors` to `list`.
+fn translate_into(
+    list: &mut Vec<u32>,
+    neighbors: &[VertexId],
+    index: &CoverIndexGraph<PackedWeights>,
+) {
+    let start = list.len();
+    list.extend(neighbors.iter().filter_map(|&u| index.position(u)));
+    list[start..].sort_unstable();
 }
 
 /// The k-reach index of Definition 1.
@@ -421,8 +452,9 @@ impl KReachIndex {
     /// The translation is derived from the first graph a query sees; an
     /// index only ever answers for the graph it was built from (the
     /// long-standing contract — a different graph would already desynchronize
-    /// the cover), so caching it is safe.
-    fn pos_adj<G: GraphView>(&self, g: &G) -> &PosAdjacency {
+    /// the cover), so caching it is safe. The incremental maintainer builds
+    /// it up front and patches it with the graph.
+    pub(crate) fn pos_adj<G: GraphView>(&self, g: &G) -> &PosAdjacency {
         debug_assert_eq!(
             g.vertex_count(),
             self.index.input_vertex_count(),
@@ -778,6 +810,37 @@ impl KReachIndex {
     /// pre-translation part is 0 until the first query materializes it.
     pub fn accel_size_bytes(&self) -> usize {
         self.index.accel_size_bytes() + self.pos_adj.get().map_or(0, |adj| adj.size_bytes())
+    }
+
+    // In-place patching, for the incremental maintainer ([`crate::dynamic`]),
+    // which keeps `g` and this index in step.
+
+    /// Compacts rows and position lists where patches have left enough
+    /// dead space — once per batch of patches.
+    pub(crate) fn compact(&mut self) {
+        self.index.compact();
+        let adj = self.pos_adj.get_mut().expect("translated");
+        adj.out.compact(&mut [&mut adj.out_pos]);
+        adj.inn.compact(&mut [&mut adj.in_pos]);
+    }
+
+    /// The index graph, for row and cover patches.
+    pub(crate) fn index_graph_mut(&mut self) -> &mut CoverIndexGraph<PackedWeights> {
+        &mut self.index
+    }
+
+    /// Re-derives `v`'s position lists from `g`, after an edge at `v`
+    /// changed or `v` joined the cover, first growing the index to `g`'s
+    /// vertices (new ones are uncovered, with empty lists). Expects the
+    /// translation built ([`KReachIndex::pos_adj`]).
+    pub(crate) fn refresh_lists<G: GraphView>(&mut self, g: &G, v: VertexId) {
+        self.index.grow_vertices(g.vertex_count());
+        let adj = self.pos_adj.get_mut().expect("translated");
+        while adj.out.len() < g.vertex_count() {
+            adj.out.push();
+            adj.inn.push();
+        }
+        adj.refresh(g, &self.index, v);
     }
 }
 

@@ -97,66 +97,6 @@ fn read_u32s<R: Read>(r: &mut R, len: usize) -> Result<Vec<u32>, StorageError> {
     Ok(out)
 }
 
-/// Validates the structural invariants of a deserialized index CSR so a
-/// corrupt file is rejected here with [`StorageError::Format`] instead of
-/// panicking later inside [`CoverIndexGraph::from_raw_parts_with_threshold`]
-/// or at query time (non-monotone offsets, out-of-range cover vertices or
-/// target positions).
-pub(crate) fn validate_index_csr(
-    n: usize,
-    cover: &[VertexId],
-    offsets: &[u32],
-    targets: &[u32],
-) -> Result<(), StorageError> {
-    if n > u32::MAX as usize {
-        return Err(StorageError::Format(format!(
-            "vertex count {n} exceeds the u32 vertex-id space"
-        )));
-    }
-    if cover.len() > n {
-        return Err(StorageError::Format(format!(
-            "cover size {} exceeds vertex count {n}",
-            cover.len()
-        )));
-    }
-    if offsets.len() != cover.len() + 1 {
-        return Err(StorageError::Format(format!(
-            "offset count {} does not match cover size {}",
-            offsets.len(),
-            cover.len()
-        )));
-    }
-    for &v in cover {
-        if v.index() >= n {
-            return Err(StorageError::Format(format!(
-                "cover vertex {v} out of range (n = {n})"
-            )));
-        }
-    }
-    if offsets.first().copied().unwrap_or(0) != 0 {
-        return Err(StorageError::Format("offsets must start at 0".to_string()));
-    }
-    if offsets.windows(2).any(|w| w[0] > w[1]) {
-        return Err(StorageError::Format(
-            "offsets must be non-decreasing".to_string(),
-        ));
-    }
-    if *offsets.last().unwrap_or(&0) as usize != targets.len() {
-        return Err(StorageError::Format(format!(
-            "last offset {} does not match target count {}",
-            offsets.last().unwrap_or(&0),
-            targets.len()
-        )));
-    }
-    let cover_len = cover.len() as u32;
-    if targets.iter().any(|&t| t >= cover_len) {
-        return Err(StorageError::Format(format!(
-            "target position out of range (cover size {cover_len})"
-        )));
-    }
-    Ok(())
-}
-
 /// Deserializes a k-reach index from a reader.
 ///
 /// Every length field is treated as untrusted until the corresponding bytes
@@ -240,12 +180,9 @@ pub fn read_kreach<R: Read>(mut r: R) -> Result<KReachIndex, StorageError> {
         )));
     }
 
-    validate_index_csr(n, &cover, &offsets, &targets)?;
-
     let weights = PackedWeights::from_raw(clamp_min, weight_count, packed);
-    let index = CoverIndexGraph::from_raw_parts_with_threshold(
-        n, cover, offsets, targets, weights, threshold,
-    );
+    let index = CoverIndexGraph::try_from_raw_parts(n, cover, offsets, targets, weights, threshold)
+        .map_err(StorageError::Format)?;
     Ok(KReachIndex::from_parts(k, strategy, index))
 }
 

@@ -20,6 +20,12 @@ pub trait WeightStore {
     fn clamp_min(&self) -> u32;
     /// Appends a weight (already clamped by the caller to `>= clamp_min`).
     fn push(&mut self, weight: u32);
+    /// Overwrites the weight of the `i`-th edge (clamped like [`WeightStore::push`]).
+    fn set(&mut self, i: usize, weight: u32);
+    /// Appends the weights `range` of `src` (a store with the same clamp).
+    fn extend_from(&mut self, src: &Self, range: std::ops::Range<usize>) {
+        range.for_each(|i| self.push(src.get(i)));
+    }
     /// Weight of the `i`-th edge.
     fn get(&self, i: usize) -> u32;
     /// Number of stored weights.
@@ -68,6 +74,36 @@ impl WeightStore for PackedWeights {
         }
         self.packed[byte] |= (offset as u8) << shift;
         self.len += 1;
+    }
+
+    fn set(&mut self, i: usize, weight: u32) {
+        debug_assert!(i < self.len);
+        let offset = weight - self.clamp_min;
+        debug_assert!(
+            offset <= 2,
+            "k-reach weights must be one of {{k-2, k-1, k}}"
+        );
+        let (byte, shift) = (i / 4, (i % 4) * 2);
+        self.packed[byte] = (self.packed[byte] & !(0b11 << shift)) | (offset as u8) << shift;
+    }
+
+    /// Four entries at a time — one whole byte — wherever this store is
+    /// byte-aligned, so compacting an index copies bytes, not entries.
+    fn extend_from(&mut self, src: &Self, range: std::ops::Range<usize>) {
+        let mut i = range.start;
+        while i < range.end {
+            if self.len.is_multiple_of(4) && range.end - i >= 4 {
+                let (byte, shift) = (i / 4, (i % 4) * 2);
+                let next = src.packed.get(byte + 1).copied().unwrap_or(0);
+                let window = src.packed[byte] as u16 | (next as u16) << 8;
+                self.packed.push((window >> shift) as u8);
+                self.len += 4;
+                i += 4;
+            } else {
+                self.push(src.get(i));
+                i += 1;
+            }
+        }
     }
 
     #[inline]
@@ -142,6 +178,12 @@ impl WeightStore for PlainWeights {
         self.weights.push(weight as u16);
     }
 
+    fn set(&mut self, i: usize, weight: u32) {
+        debug_assert!(weight >= self.clamp_min);
+        debug_assert!(weight <= u16::MAX as u32, "clamped distances fit in u16");
+        self.weights[i] = weight as u16;
+    }
+
     #[inline]
     fn get(&self, i: usize) -> u32 {
         self.weights[i] as u32
@@ -171,6 +213,46 @@ mod tests {
         assert_eq!(w.len(), values.len());
         for (i, &v) in values.iter().enumerate() {
             assert_eq!(w.get(i), v, "weight {i}");
+        }
+    }
+
+    #[test]
+    fn packed_extend_from_matches_entry_by_entry_copies() {
+        let mut src = PackedWeights::with_clamp(2);
+        for i in 0..61u32 {
+            src.push(2 + (i * 7 + i / 3) % 3);
+        }
+        for (start, end) in [(0, 61), (1, 60), (2, 9), (3, 4), (5, 5), (6, 40), (57, 61)] {
+            for lead in 0..4u32 {
+                let mut fast = PackedWeights::with_clamp(2);
+                let mut slow = PackedWeights::with_clamp(2);
+                for j in 0..lead {
+                    fast.push(2 + j % 3);
+                    slow.push(2 + j % 3);
+                }
+                fast.extend_from(&src, start..end);
+                (start..end).for_each(|i| slow.push(src.get(i)));
+                assert_eq!(fast, slow, "range {start}..{end} after {lead}");
+            }
+        }
+    }
+
+    #[test]
+    fn set_overwrites_one_weight_and_leaves_its_neighbours() {
+        let mut packed = PackedWeights::with_clamp(4);
+        let mut plain = PlainWeights::with_clamp(4);
+        for v in [4u32, 5, 6, 6, 4, 5] {
+            packed.push(v);
+            plain.push(v);
+        }
+        for (i, v) in [(0, 6), (3, 4), (4, 5), (5, 5)] {
+            packed.set(i, v);
+            plain.set(i, v);
+        }
+        let want = [6u32, 5, 6, 4, 5, 5];
+        for (i, &v) in want.iter().enumerate() {
+            assert_eq!(packed.get(i), v, "packed weight {i}");
+            assert_eq!(plain.get(i), v, "plain weight {i}");
         }
     }
 

@@ -317,9 +317,10 @@ impl<G: GraphView + 'static> Reachability for BfsBackend<G> {
 /// Serves an incrementally maintained [`DynamicKReach`] and accepts graph
 /// mutations through [`Reachability::apply_updates`].
 ///
-/// Queries take a read lock (shared across pool workers); updates take the
-/// write lock, patch the index, and leave it fully assembled, so readers
-/// never observe a half-updated index.
+/// Queries take a read lock (shared across pool workers) and run the
+/// maintained [`KReachIndex`] exactly as [`KReachBackend`] runs a static
+/// one; updates take the write lock and patch that index in place, so
+/// readers never observe a half-updated index.
 pub struct DynamicKReachBackend {
     state: RwLock<DynamicKReach>,
 }
@@ -334,7 +335,7 @@ impl DynamicKReachBackend {
 
     /// Wraps an already-constructed maintainer — the restore path: a
     /// checkpointed [`DynamicKReach`] rebuilt by
-    /// [`DynamicKReach::from_raw_state`] (plus write-ahead-log replay) is
+    /// [`DynamicKReach::from_index`] (plus write-ahead-log replay) is
     /// served as-is, without any index construction.
     pub fn from_state(state: DynamicKReach) -> Self {
         DynamicKReachBackend {
@@ -376,17 +377,20 @@ impl Reachability for DynamicKReachBackend {
         self.read().query_k(s, t, k)
     }
 
-    /// One read lock per group; the maintained hop bound runs the
-    /// maintainer's grouped kernel, any other `k` the per-query fallback.
+    /// One read lock per group, then the static backend's grouped kernel.
     fn query_group(&self, sources: &[VertexId], t: VertexId, k: u32, answers: &mut [bool]) {
         let state = self.read();
-        if k == state.k() {
-            state.query_group(sources, t, answers);
-        } else {
-            for (answer, &s) in answers.iter_mut().zip(sources) {
-                *answer = state.query_k(s, t, k);
-            }
-        }
+        state
+            .index()
+            .query_group_k(state.graph(), sources, t, k, answers);
+    }
+
+    fn dense_rows(&self) -> usize {
+        self.read().index().index_graph().dense_row_count()
+    }
+
+    fn accel_bytes(&self) -> usize {
+        self.read().index().accel_size_bytes()
     }
 
     fn has_edge(&self, u: VertexId, v: VertexId) -> Option<bool> {
@@ -405,12 +409,8 @@ impl Reachability for DynamicKReachBackend {
 
     fn case_of(&self, s: VertexId, t: VertexId, k: u32) -> Option<u8> {
         let state = self.read();
-        (k == state.k()).then(|| match (state.in_cover(s), state.in_cover(t)) {
-            (true, true) => 1,
-            (true, false) => 2,
-            (false, true) => 3,
-            (false, false) => 4,
-        })
+        let index = state.index();
+        (k == index.k()).then(|| index.classify(s, t).number())
     }
 }
 

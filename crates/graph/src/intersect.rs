@@ -5,18 +5,17 @@
 //! Per-candidate binary search costs `O(|cand| · log |row|)`; a galloping
 //! merge costs `O(min · log(max / min))`, which wins whenever the two sides
 //! are skewed — exactly the hub-row vs. small-neighbourhood shape of the
-//! paper's celebrity workloads. These helpers are shared by the k-reach
-//! index graph, the dynamic row state, and anything else holding sorted
-//! position lists.
+//! paper's celebrity workloads. These helpers serve the k-reach index
+//! graph's rows and the query's sorted position lists.
 
-/// First index `i >= from` with `key(s[i]) >= x`, found by exponential
-/// probing from `from` followed by a binary search of the bracketed range.
-/// Returns `s.len()` when every remaining key is smaller.
+/// First index `i >= from` with `s[i] >= x`, found by exponential probing
+/// from `from` followed by a binary search of the bracketed range. Returns
+/// `s.len()` when every remaining id is smaller.
 ///
-/// `s` must be sorted (non-decreasing) under `key` from `from` onward.
+/// `s` must be sorted (non-decreasing) from `from` onward.
 #[inline]
-pub fn gallop_lower_bound_by<T>(s: &[T], from: usize, x: u32, key: impl Fn(&T) -> u32) -> usize {
-    if from >= s.len() || key(&s[from]) >= x {
+pub fn gallop_lower_bound(s: &[u32], from: usize, x: u32) -> usize {
+    if from >= s.len() || s[from] >= x {
         return from.min(s.len());
     }
     // Invariant: key(s[lo]) < x.
@@ -24,20 +23,14 @@ pub fn gallop_lower_bound_by<T>(s: &[T], from: usize, x: u32, key: impl Fn(&T) -
     let mut step = 1usize;
     loop {
         let probe = lo + step;
-        if probe >= s.len() || key(&s[probe]) >= x {
+        if probe >= s.len() || s[probe] >= x {
             break;
         }
         lo = probe;
         step <<= 1;
     }
     let hi = (lo + step + 1).min(s.len());
-    lo + 1 + s[lo + 1..hi].partition_point(|e| key(e) < x)
-}
-
-/// [`gallop_lower_bound_by`] specialised to plain id slices.
-#[inline]
-pub fn gallop_lower_bound(s: &[u32], from: usize, x: u32) -> usize {
-    gallop_lower_bound_by(s, from, x, |&v| v)
+    lo + 1 + s[lo + 1..hi].partition_point(|&v| v < x)
 }
 
 /// True if two sorted id slices share any element (galloping merge, so a
@@ -106,34 +99,6 @@ pub fn scan_find(s: &[u32], x: u32) -> Option<usize> {
     scan_find_scalar(s, x)
 }
 
-/// Galloping merge of a sorted row (keyed by `key`) against a sorted
-/// candidate id list, invoking `hit` on every common element. Returns `true`
-/// as soon as `hit` does (early exit), `false` when the lists are exhausted.
-pub fn merge_any_match<T>(
-    row: &[T],
-    candidates: &[u32],
-    key: impl Fn(&T) -> u32,
-    mut hit: impl FnMut(&T) -> bool,
-) -> bool {
-    kreach_obs::observe::note_sparse_gallop();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < row.len() && j < candidates.len() {
-        let ki = key(&row[i]);
-        match ki.cmp(&candidates[j]) {
-            std::cmp::Ordering::Equal => {
-                if hit(&row[i]) {
-                    return true;
-                }
-                i += 1;
-                j += 1;
-            }
-            std::cmp::Ordering::Less => i = gallop_lower_bound_by(row, i + 1, candidates[j], &key),
-            std::cmp::Ordering::Greater => j = gallop_lower_bound(candidates, j + 1, ki),
-        }
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,38 +137,6 @@ mod tests {
             let naive = a.iter().any(|x| b.contains(x));
             assert_eq!(sorted_any_common(&a, &b), naive, "round {round}");
         }
-    }
-
-    #[test]
-    fn merge_any_match_visits_common_elements_in_order() {
-        let row: Vec<(u32, u32)> = vec![(1, 10), (4, 11), (9, 12), (30, 13), (77, 14)];
-        let candidates = vec![0, 4, 9, 30, 80];
-        let mut seen = Vec::new();
-        let matched = merge_any_match(
-            &row,
-            &candidates,
-            |e| e.0,
-            |e| {
-                seen.push(*e);
-                false
-            },
-        );
-        assert!(!matched);
-        assert_eq!(seen, vec![(4, 11), (9, 12), (30, 13)]);
-
-        // Early exit: stops on the first hit the callback accepts.
-        let mut visited = 0;
-        let matched = merge_any_match(
-            &row,
-            &candidates,
-            |e| e.0,
-            |e| {
-                visited += 1;
-                e.1 >= 12
-            },
-        );
-        assert!(matched);
-        assert_eq!(visited, 2);
     }
 
     #[test]

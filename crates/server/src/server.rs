@@ -1732,7 +1732,8 @@ mod tests {
         let edges = (1..=200u32)
             .map(|i| (0, i))
             .chain((1..200).map(|i| (i, i + 1)));
-        let g = Arc::new(DiGraph::from_edges(201, edges));
+        let graph = DiGraph::from_edges(201, edges);
+        let g = Arc::new(graph.clone());
         let index = kreach_core::KReachIndex::build(g.as_ref(), 3, Default::default());
         let dense_rows = index.index_graph().dense_row_count();
         assert!(dense_rows > 0, "the hub row must be dense");
@@ -1758,6 +1759,58 @@ mod tests {
             metrics.contains(&format!("kreach_engine_accel_dense_rows {dense_rows}\n")),
             "{metrics}"
         );
+
+        // The durable backend serves the same index, so it reports the same
+        // dense rows and its own accel bytes — before and after an update
+        // patches the hub row.
+        let report = |client: &mut BlockingClient, backend: &DynamicKReachBackend| {
+            use kreach_engine::Reachability;
+            let (accel_bytes, dense_rows) = (backend.accel_bytes(), backend.dense_rows());
+            assert!(accel_bytes > 0);
+            let stats = client.get("/stats").unwrap().body_text();
+            assert!(
+                stats.contains(&format!(
+                    "\"accel\":{{\"bytes\":{accel_bytes},\"dense_rows\":{dense_rows}}}"
+                )),
+                "{stats}"
+            );
+            let metrics = client.get("/metrics").unwrap().body_text();
+            assert!(
+                metrics.contains(&format!("kreach_engine_accel_dense_rows {dense_rows}\n")),
+                "{metrics}"
+            );
+            dense_rows
+        };
+        let backend = Arc::new(DynamicKReachBackend::new(
+            graph,
+            3,
+            DynamicOptions::default(),
+        ));
+        let engine = Arc::new(BatchEngine::new(
+            Arc::clone(&backend) as Arc<dyn kreach_engine::Reachability>,
+            EngineConfig {
+                workers: 1,
+                ..EngineConfig::default()
+            },
+        ));
+        let server = start(engine, tiny_config()).expect("bind");
+        let mut client = BlockingClient::connect(server.addr()).unwrap();
+        assert_eq!(report(&mut client, &backend), dense_rows);
+        // Without the edge (0, v) the hub reaches v through v − 1 in two
+        // hops, so its row entry for a covered v goes from weight 1 to 2.
+        let v = (50..150u32)
+            .map(VertexId)
+            .find(|&v| backend.with_state(|s| s.in_cover(v)))
+            .expect("the path has covered vertices");
+        let hub_weight =
+            || backend.with_state(|s| s.index().index_graph().edge_weight(VertexId(0), v));
+        assert_eq!(hub_weight(), Some(1));
+        let response = client
+            .post("/update", format!("- 0 {v}\n").as_bytes())
+            .unwrap();
+        assert!(response.is_ok(), "{}", response.body_text());
+        assert_eq!(hub_weight(), Some(2));
+        assert_eq!(report(&mut client, &backend), dense_rows);
     }
 
     #[test]

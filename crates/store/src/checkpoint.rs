@@ -1,12 +1,14 @@
-//! Checkpoint files: a `KRC3` container holding the **raw** dynamic
-//! maintainer state plus the engine epoch it corresponds to.
+//! Checkpoint files: a `KRC3` container holding the dynamic maintainer's
+//! graph and index plus the engine epoch it corresponds to.
 //!
-//! A checkpoint serializes [`DynamicKReach`]'s internals — the adjacency
-//! graph's edge list and the maintainer's cover members and true-distance
-//! rows — rather than the derived [`kreach_core::KReachIndex`]. The index
-//! clamps weights to `{k-2, k-1, k}`, so restoring from it would lose the
-//! exact distances incremental repair needs; the raw rows restore the
-//! maintainer bit-for-bit.
+//! A checkpoint serializes [`DynamicKReach`]'s state — the adjacency
+//! graph's edge list and the maintained [`KReachIndex`]'s cover members and
+//! rows, one distance per index edge. Those are the clamped weights
+//! `max(dist, k − 2)` the index stores: incremental repair only ever
+//! writes rows (each from a fresh BFS), never reads a stored distance, so
+//! the index alone restores a maintainer that answers and keeps repairing
+//! exactly like the original. Checkpoints written when section 12 held
+//! true distances load too: their distances are clamped on the way in.
 //!
 //! Section ids (kind = checkpoint):
 //!
@@ -17,12 +19,15 @@
 //! | 9  | u32   | cover member vertex ids, in position order |
 //! | 10 | u64   | row offsets (`cover size + 1`) into targets/distances |
 //! | 11 | u32   | row targets (cover positions) |
-//! | 12 | u32   | row true distances (`<= k`) |
+//! | 12 | u32   | row distances (`<= k`), clamped up to `k − 2` on load |
 
 use crate::container::{ContainerReader, ContainerWriter, FileKind};
 use kreach_core::dynamic::{DynamicKReach, DynamicOptions};
+use kreach_core::index_graph::CoverIndexGraph;
 use kreach_core::storage::StorageError;
-use kreach_graph::{DiGraph, VersionedAdjGraph, VertexId};
+use kreach_core::weights::{PackedWeights, WeightStore};
+use kreach_core::KReachIndex;
+use kreach_graph::{DiGraph, VertexId};
 use std::io::{self, Read, Write};
 use std::path::Path;
 
@@ -40,7 +45,8 @@ pub fn write_checkpoint<W: Write>(
     w: W,
 ) -> Result<(), StorageError> {
     let graph = state.snapshot_csr();
-    let (members, rows) = state.raw_state();
+    let index = state.index().index_graph();
+    let members = index.cover_vertices();
 
     let mut edge_pairs = Vec::with_capacity(graph.edge_count() * 2);
     for (u, v) in graph.edges() {
@@ -48,13 +54,13 @@ pub fn write_checkpoint<W: Write>(
         edge_pairs.push(v.0);
     }
     let member_ids: Vec<u32> = members.iter().map(|v| v.0).collect();
-    let total: usize = rows.iter().map(Vec::len).sum();
-    let mut row_offsets = Vec::with_capacity(rows.len() + 1);
+    let total = index.edge_count();
+    let mut row_offsets = Vec::with_capacity(members.len() + 1);
     let mut row_targets = Vec::with_capacity(total);
     let mut row_dists = Vec::with_capacity(total);
     row_offsets.push(0u64);
-    for row in rows {
-        for &(t, d) in row {
+    for p in 0..members.len() as u32 {
+        for (t, d) in index.out_edges_by_pos(p) {
             row_targets.push(t);
             row_dists.push(d);
         }
@@ -128,15 +134,16 @@ pub fn save_checkpoint_io(
 
 /// A checkpoint restored into memory.
 pub struct RestoredCheckpoint {
-    /// The maintainer, bit-for-bit as at checkpoint time.
+    /// The maintainer: the checkpointed graph and index, compacted.
     pub state: DynamicKReach,
     /// Engine epoch the snapshot is at least as new as.
     pub epoch: u64,
 }
 
 /// Reconstructs maintainer state from a parsed checkpoint container,
-/// re-validating counts against the meta section and every structural
-/// invariant through [`DynamicKReach::from_raw_state`].
+/// re-validating counts against the meta section, every structural
+/// invariant of the index through [`CoverIndexGraph::try_from_raw_parts`],
+/// and its cover against the graph through [`DynamicKReach::from_index`].
 pub fn checkpoint_from_container(
     c: &ContainerReader,
     options: DynamicOptions,
@@ -198,13 +205,6 @@ pub fn checkpoint_from_container(
     let row_offsets = c.u64s(SEC_ROW_OFFSETS)?;
     let row_targets = c.u32s(SEC_ROW_TARGETS)?;
     let row_dists = c.u32s(SEC_ROW_DISTS)?;
-    if row_offsets.len() != cover_len + 1 {
-        return Err(StorageError::Format(format!(
-            "row offsets have {} entries (expected {})",
-            row_offsets.len(),
-            cover_len + 1
-        )));
-    }
     if row_targets.len() != total || row_dists.len() != total {
         return Err(StorageError::Format(format!(
             "row sections have {}/{} entries (meta claims {total})",
@@ -212,37 +212,32 @@ pub fn checkpoint_from_container(
             row_dists.len()
         )));
     }
-    if row_offsets.first() != Some(&0) || row_offsets.last() != Some(&(total as u64)) {
-        return Err(StorageError::Format(
-            "row offsets do not span the row entry sections".into(),
-        ));
-    }
-    let mut rows = Vec::with_capacity(cover_len);
-    for w in row_offsets.windows(2) {
-        let (lo, hi) = (w[0], w[1]);
-        if lo > hi || hi > total as u64 {
-            return Err(StorageError::Format(
-                "row offsets are not non-decreasing".into(),
-            ));
+    let offsets = row_offsets
+        .iter()
+        .map(|&o| u32::try_from(o))
+        .collect::<Result<Vec<u32>, _>>()
+        .map_err(|_| StorageError::Format("row offset overflows u32".into()))?;
+    let clamp_min = k.saturating_sub(2);
+    let mut weights = PackedWeights::with_clamp(clamp_min);
+    for &d in &row_dists {
+        if d > k {
+            return Err(StorageError::Format(format!(
+                "row distance {d} past the bound {k}"
+            )));
         }
-        let (lo, hi) = (lo as usize, hi as usize);
-        rows.push(
-            row_targets[lo..hi]
-                .iter()
-                .copied()
-                .zip(row_dists[lo..hi].iter().copied())
-                .collect::<Vec<(u32, u32)>>(),
-        );
+        weights.push(d.max(clamp_min));
     }
-
-    let state = DynamicKReach::from_raw_state(
-        VersionedAdjGraph::from_csr(&graph),
-        k,
-        options,
+    let index = CoverIndexGraph::try_from_raw_parts(
+        n,
         members,
-        rows,
+        offsets,
+        row_targets,
+        weights,
+        options.build.dense_row_threshold,
     )
     .map_err(StorageError::Format)?;
+    let index = KReachIndex::from_parts(k, options.build.cover_strategy, index);
+    let state = DynamicKReach::from_index(graph, index, options).map_err(StorageError::Format)?;
     Ok(RestoredCheckpoint { state, epoch })
 }
 
@@ -270,14 +265,18 @@ mod tests {
     use kreach_graph::EdgeUpdate;
 
     fn sample_state() -> DynamicKReach {
+        sample_state_at(3)
+    }
+
+    fn sample_state_at(k: u32) -> DynamicKReach {
         let mut edges = Vec::new();
         for i in 0..30u32 {
             edges.push((i, (i + 1) % 31));
             edges.push((i, (i + 5) % 31));
         }
         let g = DiGraph::from_edges(32, edges);
-        let mut state = DynamicKReach::new(g, 3, DynamicOptions::default());
-        // A few incremental updates so the raw rows differ from a fresh build.
+        let mut state = DynamicKReach::new(g, k, DynamicOptions::default());
+        // A few incremental updates so the rows differ from a fresh build.
         state.apply_all(&[
             EdgeUpdate::Insert(VertexId(31), VertexId(4)),
             EdgeUpdate::Remove(VertexId(2), VertexId(3)),
@@ -286,9 +285,21 @@ mod tests {
         state
     }
 
+    /// Cover members and per-position rows `(target, weight)`.
+    type Rows = (Vec<VertexId>, Vec<Vec<(u32, u32)>>);
+
+    fn rows(state: &DynamicKReach) -> Rows {
+        let index = state.index().index_graph();
+        let members = index.cover_vertices().to_vec();
+        let rows = (0..members.len() as u32)
+            .map(|p| index.out_edges_by_pos(p).collect())
+            .collect();
+        (members, rows)
+    }
+
     fn all_answers(state: &DynamicKReach) -> Vec<bool> {
         let g = state.snapshot_csr();
-        let index = state.to_index();
+        let index = state.index();
         let mut out = Vec::new();
         for s in 0..32u32 {
             for t in 0..32u32 {
@@ -305,10 +316,7 @@ mod tests {
         write_checkpoint(&state, 42, &mut bytes).expect("write");
         let restored = read_checkpoint(bytes.as_slice(), DynamicOptions::default()).expect("read");
         assert_eq!(restored.epoch, 42);
-        let (members_a, rows_a) = state.raw_state();
-        let (members_b, rows_b) = restored.state.raw_state();
-        assert_eq!(members_a, members_b);
-        assert_eq!(rows_a, rows_b);
+        assert_eq!(rows(&state), rows(&restored.state));
         assert_eq!(all_answers(&state), all_answers(&restored.state));
     }
 
@@ -342,6 +350,113 @@ mod tests {
                 "cut at {cut} parsed"
             );
         }
+    }
+
+    /// A checkpoint as written when section 12 held true distances: the
+    /// maintainer's rows with unclamped BFS distances, distances in
+    /// `bump` raised by one.
+    fn true_distance_checkpoint(state: &DynamicKReach, bump: Option<usize>) -> Vec<u8> {
+        let g = state.snapshot_csr();
+        let (members, _) = rows(state);
+        let mut pos = vec![u32::MAX; g.vertex_count()];
+        for (p, &v) in members.iter().enumerate() {
+            pos[v.index()] = p as u32;
+        }
+        let (mut offsets, mut targets, mut dists) = (vec![0u64], Vec::new(), Vec::new());
+        for &u in &members {
+            let mut row: Vec<(u32, u32)> = kreach_graph::traversal::bfs(
+                &g,
+                u,
+                kreach_graph::traversal::Direction::Forward,
+                Some(state.k()),
+            )
+            .reached_with_distance()
+            .filter(|&(v, _)| v != u && pos[v.index()] != u32::MAX)
+            .map(|(v, d)| (pos[v.index()], d))
+            .collect();
+            row.sort_unstable();
+            targets.extend(row.iter().map(|&(t, _)| t));
+            dists.extend(row.iter().map(|&(_, d)| d));
+            offsets.push(targets.len() as u64);
+        }
+        if let Some(i) = bump {
+            dists[i] += 1;
+        }
+        let edges: Vec<u32> = g.edges().flat_map(|(u, v)| [u.0, v.0]).collect();
+        let meta = [
+            7,
+            state.k() as u64,
+            g.vertex_count() as u64,
+            g.edge_count() as u64,
+            members.len() as u64,
+            targets.len() as u64,
+        ];
+        let mut c = ContainerWriter::new(FileKind::Checkpoint);
+        c.put_u64s(SEC_META, &meta);
+        c.put_u32s(SEC_GRAPH_EDGES, &edges);
+        c.put_u32s(
+            SEC_MEMBERS,
+            &members.iter().map(|v| v.0).collect::<Vec<_>>(),
+        );
+        c.put_u64s(SEC_ROW_OFFSETS, &offsets);
+        c.put_u32s(SEC_ROW_TARGETS, &targets);
+        c.put_u32s(SEC_ROW_DISTS, &dists);
+        let mut bytes = Vec::new();
+        c.write_to(&mut bytes).expect("write");
+        bytes
+    }
+
+    #[test]
+    fn true_distance_checkpoints_load_clamped() {
+        use kreach_graph::traversal::khop_reachable_bfs;
+        // k = 5: distances 1 and 2 lie below the clamp k − 2.
+        let state = sample_state_at(5);
+        let bytes = true_distance_checkpoint(&state, None);
+        let container = ContainerReader::read_from(bytes.as_slice()).expect("container");
+        let k = state.k();
+        assert!(
+            container
+                .u32s(SEC_ROW_DISTS)
+                .expect("dists")
+                .iter()
+                .any(|&d| d < k - 2),
+            "the fixture must hold distances below k - 2"
+        );
+        let restored = read_checkpoint(bytes.as_slice(), DynamicOptions::default())
+            .expect("a true-distance checkpoint restores")
+            .state;
+        let g = restored.snapshot_csr();
+        for s in g.vertices() {
+            for t in g.vertices() {
+                assert_eq!(
+                    restored.query(s, t),
+                    khop_reachable_bfs(&g, s, t, k),
+                    "({s},{t})"
+                );
+            }
+        }
+        assert_eq!(rows(&restored), rows(&state));
+        // Re-checkpointing writes the clamped weights.
+        let mut again = Vec::new();
+        write_checkpoint(&restored, 7, &mut again).expect("write");
+        let dists = ContainerReader::read_from(again.as_slice())
+            .expect("container")
+            .u32s(SEC_ROW_DISTS)
+            .expect("dists");
+        assert!(dists.iter().all(|&d| (k - 2..=k).contains(&d)), "{dists:?}");
+
+        // A distance past k would overflow the 2-bit weights: a load error.
+        let k_at = container
+            .u32s(SEC_ROW_DISTS)
+            .expect("dists")
+            .iter()
+            .position(|&d| d == k)
+            .expect("some row entry sits at distance k");
+        let bad = true_distance_checkpoint(&state, Some(k_at));
+        assert!(matches!(
+            read_checkpoint(bad.as_slice(), DynamicOptions::default()),
+            Err(StorageError::Format(_))
+        ));
     }
 
     #[test]

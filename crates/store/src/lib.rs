@@ -18,8 +18,9 @@
 //! * [`wal`] — the epoch-keyed write-ahead log: every acked update batch is
 //!   appended and fsynced before the ack, in the `kreach update` wire
 //!   grammar, so replay and workload tooling share one parser.
-//! * [`checkpoint`] — periodic snapshots of the dynamic maintainer's *raw*
-//!   state (adjacency + true-distance rows), restorable bit-for-bit.
+//! * [`checkpoint`] — periodic snapshots of the dynamic maintainer's state
+//!   (adjacency + the maintained index's clamped rows): the index alone is
+//!   enough to keep repairing, because repair only ever writes rows.
 //! * [`store`] — the data-directory orchestrator: [`store::Store`] wires
 //!   WAL + checkpoint + manifest together, implements the engine's
 //!   [`kreach_engine::DurabilitySink`], and [`store::spawn_checkpointer`]

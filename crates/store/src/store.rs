@@ -692,13 +692,18 @@ mod tests {
 
         let report = store.restore().expect("restore");
         assert_eq!(report.epoch, ops.len() as u64);
-        let (ma, ra) = state.raw_state();
-        let (mb, rb) = report.state.raw_state();
+        let rows = |state: &DynamicKReach| {
+            let index = state.index().index_graph();
+            let rows: Vec<Vec<(u32, u32)>> = (0..index.cover_size() as u32)
+                .map(|p| index.out_edges_by_pos(p).collect())
+                .collect();
+            (index.cover_vertices().to_vec(), rows)
+        };
         assert_eq!(
             state.graph().edge_count(),
             report.state.graph().edge_count()
         );
-        assert_eq!((ma, ra), (mb, rb));
+        assert_eq!(rows(&state), rows(&report.state));
         std::fs::remove_dir_all(&dir).ok();
     }
 

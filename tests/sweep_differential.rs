@@ -193,11 +193,7 @@ proptest! {
         let dynk = DynamicKReach::new(g.clone(), k, DynamicOptions::default());
         let view = VersionedAdjGraph::from_csr(&g);
         let cover = VertexCover::compute(&view, DynamicOptions::default().build.cover_strategy);
-        let (members, rows) = dynk.raw_state();
-        prop_assert_eq!(members, cover.members());
-        prop_assert_eq!(rows, &reference_rows(&view, cover.members(), k, 0)[..]);
-        // Rows are copied out at their exact length.
-        prop_assert!(rows.iter().all(|r| r.capacity() == r.len()));
+        same_kreach(dynk.index(), &reference_kreach(&g, k, &cover, None))?;
     }
 }
 
@@ -216,14 +212,9 @@ fn dynamic_initial_rows_match_across_pass_edges() {
             let dynk = DynamicKReach::new(g.clone(), k, DynamicOptions::default());
             let view = VersionedAdjGraph::from_csr(&g);
             let cover = VertexCover::compute(&view, DynamicOptions::default().build.cover_strategy);
-            let (members, rows) = dynk.raw_state();
             assert_eq!(cover.len(), m as usize);
-            assert_eq!(members, cover.members(), "m={m} k={k}");
-            assert_eq!(
-                rows,
-                &reference_rows(&view, cover.members(), k, 0)[..],
-                "m={m} k={k}"
-            );
+            same_kreach(dynk.index(), &reference_kreach(&g, k, &cover, None))
+                .unwrap_or_else(|e| panic!("m={m} k={k}: {e}"));
         }
     }
 }
