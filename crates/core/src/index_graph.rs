@@ -251,8 +251,9 @@ impl RowAccel {
     /// Builds the acceleration structure over the rows, giving rows at or
     /// above the degree `threshold` the bitset form, with `classes` weight
     /// classes: the rows' widest weight span when `None`, found by a scan of
-    /// every weight that a re-derivation can skip by passing the classes it
-    /// had (falling back to the scan if a dense row's weights outgrow them).
+    /// every weight that an assembly (which tracked the span as it pushed
+    /// rows) or a re-derivation (passing the classes it had) skips, falling
+    /// back to the scan if a dense row's weights outgrow them.
     fn build<W: WeightStore>(
         spans: &Spans,
         targets: &[u32],
@@ -412,6 +413,9 @@ struct CsrRows<W> {
     offsets: Vec<u32>,
     targets: Vec<u32>,
     weights: W,
+    /// The widest `weight − clamp_min` pushed so far, so the acceleration's
+    /// class count needs no second pass over the weights.
+    widest: u32,
 }
 
 impl<W: WeightStore> CsrRows<W> {
@@ -422,6 +426,7 @@ impl<W: WeightStore> CsrRows<W> {
             offsets,
             targets: Vec::new(),
             weights: W::with_clamp(clamp_min),
+            widest: 0,
         }
     }
 
@@ -430,8 +435,10 @@ impl<W: WeightStore> CsrRows<W> {
     fn push_row(&mut self, row: &[(u32, u32)]) {
         let clamp_min = self.weights.clamp_min();
         for &(t, w) in row {
+            let w = w.max(clamp_min);
+            self.widest = self.widest.max(w - clamp_min);
             self.targets.push(t);
-            self.weights.push(w.max(clamp_min));
+            self.weights.push(w);
         }
         self.offsets.push(self.targets.len() as u32);
     }
@@ -460,9 +467,9 @@ impl<W: WeightStore> CsrRows<W> {
         self.offsets
             .extend(other.offsets[1..].iter().map(|&o| base + o));
         self.targets.extend_from_slice(&other.targets);
-        for i in 0..other.weights.len() {
-            self.weights.push(other.weights.get(i));
-        }
+        self.weights
+            .extend_from(&other.weights, 0..other.weights.len());
+        self.widest = self.widest.max(other.widest);
     }
 
     /// The finished index graph over `cover`, its acceleration derived.
@@ -479,7 +486,8 @@ impl<W: WeightStore> CsrRows<W> {
         }
         let threshold = threshold.unwrap_or_else(|| default_dense_threshold(cover.len()));
         let spans = Spans::from_offsets(self.offsets);
-        let accel = RowAccel::build(&spans, &self.targets, &self.weights, threshold, None);
+        let classes = Some(self.widest + 1);
+        let accel = RowAccel::build(&spans, &self.targets, &self.weights, threshold, classes);
         CoverIndexGraph {
             cover_pos,
             cover,
@@ -570,8 +578,9 @@ impl<W: WeightStore> CoverIndexGraph<W> {
     /// are omitted; query processing special-cases the identity.
     ///
     /// The sweep runs [`LaneSweep`] over 64 cover positions at a time and
-    /// appends each pass's sorted rows straight into the CSR, so no
-    /// per-source edge lists are ever buffered. With `threads > 1` each
+    /// appends each pass's rows, which leave the sweep sorted, straight
+    /// into the CSR, so no per-source edge lists are ever buffered and none
+    /// is sorted. With `threads > 1` each
     /// worker sweeps a contiguous run of whole passes with its own scratch,
     /// and the fragments concatenate in position order. The result is the
     /// same for every `threads`, and equal to

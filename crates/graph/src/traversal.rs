@@ -412,10 +412,19 @@ pub const SWEEP_LANES: usize = 64;
 /// advances every lane that holds it, so sources with overlapping
 /// neighbourhoods share the edge scans a per-source BFS would repeat.
 ///
-/// The scratch is reused across calls: the words grow to the largest graph
-/// seen and are reset sparsely through touched-vertex lists, so a pass costs
-/// only the vertices it reaches, and a build sweeps every source without
-/// allocating per source.
+/// Rows leave the sweep sorted without a comparison sort. When a labelled
+/// vertex enters `next`, its `(depth, lanes)` word is chained onto its
+/// label and the label is marked in a bitmap over the label range. After
+/// the last level the bitmap is walked in label order and each chain's
+/// lanes are scattered into the rows. A lane reaches a vertex at one depth
+/// only and labels are distinct, so every row comes out strictly
+/// increasing by label.
+///
+/// The scratch is reused across calls: the vertex words grow to the largest
+/// graph seen, the label chains to the largest label seen (cover positions
+/// in every caller, so the cover size), and both are reset sparsely, so a
+/// pass costs only the vertices it reaches, and a build sweeps every source
+/// without allocating per source.
 #[derive(Debug, Default, Clone)]
 pub struct LaneSweep {
     seen: Vec<u64>,
@@ -426,9 +435,28 @@ pub struct LaneSweep {
     /// Vertices with a nonzero `frontier` / `next` word.
     frontier_list: Vec<VertexId>,
     next_list: Vec<VertexId>,
+    /// Per label, the newest of its links in `links` (`NO_LINK` if none).
+    head: Vec<u32>,
+    /// One bit per label with a chain this pass.
+    marked: Vec<u64>,
+    /// The lanes that reached a labelled vertex at one depth, chained per
+    /// label.
+    links: Vec<LaneLink>,
     /// One output row per lane, capacity kept across passes.
     rows: Vec<Vec<(u32, u32)>>,
 }
+
+/// One link of a label's chain in [`LaneSweep`].
+#[derive(Debug, Clone, Copy)]
+struct LaneLink {
+    lanes: u64,
+    depth: u32,
+    /// The label's previous link, or `NO_LINK`.
+    prev: u32,
+}
+
+/// End of a label chain in [`LaneSweep`].
+const NO_LINK: u32 = u32::MAX;
 
 impl LaneSweep {
     /// Creates an empty sweep; buffers grow on first use.
@@ -441,7 +469,7 @@ impl LaneSweep {
     ///
     /// Row `i` lists `(label[v], dist(sources[i], v))` for every vertex
     /// `v ≠ sources[i]` within `k` hops whose label is not `u32::MAX`,
-    /// sorted by label. Labels are cover positions in every
+    /// strictly increasing by label. Labels are cover positions in every
     /// caller, so a row is exactly one CSR row of the index graph. `label`
     /// must have an entry for every vertex of `g`, and labels must be
     /// distinct. The rows are valid until the next call.
@@ -470,6 +498,9 @@ impl LaneSweep {
             touched,
             frontier_list,
             next_list,
+            head,
+            marked,
+            links,
             rows,
         } = self;
         let rows = &mut rows[..sources.len()];
@@ -514,15 +545,43 @@ impl LaneSweep {
                 if l == u32::MAX {
                     continue;
                 }
-                let mut lanes = next[v.index()];
-                while lanes != 0 {
-                    rows[lanes.trailing_zeros() as usize].push((l, depth));
-                    lanes &= lanes - 1;
+                let l = l as usize;
+                if l >= head.len() {
+                    head.resize(l + 1, NO_LINK);
+                    marked.resize(head.len().div_ceil(64), 0);
                 }
+                marked[l / 64] |= 1u64 << (l % 64);
+                links.push(LaneLink {
+                    lanes: next[v.index()],
+                    depth,
+                    prev: head[l],
+                });
+                head[l] = (links.len() - 1) as u32;
             }
             std::mem::swap(frontier, next);
             std::mem::swap(frontier_list, next_list);
         }
+
+        // Label order: scatter each marked label's chain into the rows,
+        // resetting the chain scratch as it is read.
+        for (w, word) in marked.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let l = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let mut at = std::mem::replace(&mut head[l], NO_LINK);
+                while at != NO_LINK {
+                    let link = links[at as usize];
+                    let mut lanes = link.lanes;
+                    while lanes != 0 {
+                        rows[lanes.trailing_zeros() as usize].push((l as u32, link.depth));
+                        lanes &= lanes - 1;
+                    }
+                    at = link.prev;
+                }
+            }
+        }
+        links.clear();
 
         // Sparse reset: only the words this pass set are nonzero.
         for v in frontier_list.drain(..) {
@@ -530,9 +589,6 @@ impl LaneSweep {
         }
         for v in touched.drain(..) {
             seen[v.index()] = 0;
-        }
-        for row in rows.iter_mut() {
-            row.sort_unstable_by_key(|&(l, _)| l);
         }
         rows
     }
@@ -607,6 +663,7 @@ impl NeighborhoodExplorer {
 mod tests {
     use super::*;
     use crate::csr::DiGraph;
+    use proptest::prelude::*;
 
     /// A directed path 0 -> 1 -> 2 -> 3 -> 4 plus a shortcut 0 -> 3.
     fn path_with_shortcut() -> DiGraph {
@@ -814,6 +871,67 @@ mod tests {
                 assert_eq!(rows.len(), chunk.len());
                 for (&s, row) in chunk.iter().zip(&rows) {
                     assert_eq!(*row, reference_row(&g, s, k, &label), "k={k} s={s}");
+                }
+            }
+        }
+    }
+
+    /// A random digraph (cycles and self-loops allowed) on 1–119 vertices,
+    /// sparse permuted labels (unlabelled vertices, gaps, labels up to
+    /// several times `n`), all vertices as sources in a shuffled order, a
+    /// pass size in 1–64 and `k ∈ {1, 2, 3, 5, n}`.
+    #[allow(clippy::type_complexity)]
+    fn arb_sweep_case() -> impl Strategy<Value = (DiGraph, Vec<u32>, Vec<VertexId>, usize, u32)> {
+        use proptest::collection::vec;
+        (1usize..120).prop_flat_map(|n| {
+            (
+                (
+                    vec((0..n as u32, 0..n as u32), 0..4 * n),
+                    vec(0u32..1 << 30, n..n + 1),
+                ),
+                (
+                    vec(0u8..4, n..n + 1), // 0 leaves a vertex unlabelled
+                    (
+                        (1u32..4, 0..2 * n as u32 + 1),
+                        (1usize..SWEEP_LANES + 1, 0usize..5),
+                    ),
+                ),
+            )
+                .prop_map(
+                    move |((edges, keys), (keep, ((stride, offset), (pass, k_i))))| {
+                        let mut order: Vec<u32> = (0..n as u32).collect();
+                        order.sort_by_key(|&v| (keys[v as usize], v));
+                        let mut label = vec![u32::MAX; n];
+                        for (rank, &v) in order.iter().enumerate() {
+                            if keep[v as usize] != 0 {
+                                label[v as usize] = offset + rank as u32 * stride;
+                            }
+                        }
+                        let mut sources: Vec<VertexId> = (0..n as u32).map(VertexId).collect();
+                        sources.sort_by_key(|v| (keys[v.index()].reverse_bits(), v.0));
+                        let k = [1, 2, 3, 5, n as u32][k_i];
+                        (DiGraph::from_edges(n, edges), label, sources, pass, k)
+                    },
+                )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 200, ..ProptestConfig::default() })]
+
+        #[test]
+        fn lane_sweep_rows_are_sorted_per_source_bfs(case in arb_sweep_case()) {
+            let (g, label, sources, pass, k) = case;
+            let mut sweep = LaneSweep::new();
+            for chunk in sources.chunks(pass) {
+                let rows = sweep.sweep(&g, chunk, k, &label);
+                prop_assert_eq!(rows.len(), chunk.len());
+                for (&s, row) in chunk.iter().zip(rows) {
+                    prop_assert!(
+                        row.windows(2).all(|w| w[0].0 < w[1].0),
+                        "row of {} is not strictly increasing: {:?}", s, row
+                    );
+                    prop_assert_eq!(row, &reference_row(&g, s, k, &label), "k={} s={}", k, s);
                 }
             }
         }

@@ -27,7 +27,7 @@ use kreach_core::index_graph::CoverIndexGraph;
 use kreach_core::storage::StorageError;
 use kreach_core::weights::{PackedWeights, WeightStore};
 use kreach_core::KReachIndex;
-use kreach_graph::{DiGraph, VertexId};
+use kreach_graph::{DiGraph, GraphView, VertexId};
 use std::io::{self, Read, Write};
 use std::path::Path;
 
@@ -38,51 +38,48 @@ const SEC_ROW_OFFSETS: u32 = 10;
 const SEC_ROW_TARGETS: u32 = 11;
 const SEC_ROW_DISTS: u32 = 12;
 
-/// Serializes the maintainer state and its epoch as a checkpoint container.
-pub fn write_checkpoint<W: Write>(
-    state: &DynamicKReach,
-    epoch: u64,
-    w: W,
-) -> Result<(), StorageError> {
-    let graph = state.snapshot_csr();
+/// Renders the maintainer state and its epoch as a checkpoint container
+/// image. Every section streams from the live state (the graph's sorted
+/// adjacency, the index rows) into the one output buffer, so rendering
+/// holds the file's bytes and nothing else.
+fn render_checkpoint(state: &DynamicKReach, epoch: u64) -> Vec<u8> {
+    let graph = state.graph();
     let index = state.index().index_graph();
     let members = index.cover_vertices();
-
-    let mut edge_pairs = Vec::with_capacity(graph.edge_count() * 2);
-    for (u, v) in graph.edges() {
-        edge_pairs.push(u.0);
-        edge_pairs.push(v.0);
-    }
-    let member_ids: Vec<u32> = members.iter().map(|v| v.0).collect();
-    let total = index.edge_count();
-    let mut row_offsets = Vec::with_capacity(members.len() + 1);
-    let mut row_targets = Vec::with_capacity(total);
-    let mut row_dists = Vec::with_capacity(total);
-    row_offsets.push(0u64);
-    for p in 0..members.len() as u32 {
-        for (t, d) in index.out_edges_by_pos(p) {
-            row_targets.push(t);
-            row_dists.push(d);
-        }
-        row_offsets.push(row_targets.len() as u64);
-    }
+    let (n, m, total) = (graph.vertex_count(), graph.edge_count(), index.edge_count());
+    let rows = || (0..members.len() as u32).flat_map(|p| index.out_edges_by_pos(p));
 
     let meta = [
         epoch,
         state.k() as u64,
-        graph.vertex_count() as u64,
-        graph.edge_count() as u64,
+        n as u64,
+        m as u64,
         members.len() as u64,
         total as u64,
     ];
-    let mut c = ContainerWriter::new(FileKind::Checkpoint);
+    let payload = 8 * meta.len() + 8 * m + 4 * members.len() + 8 * (members.len() + 1) + 8 * total;
+    let mut c = ContainerWriter::new(FileKind::Checkpoint, 6, payload);
     c.put_u64s(SEC_META, &meta);
-    c.put_u32s(SEC_GRAPH_EDGES, &edge_pairs);
-    c.put_u32s(SEC_MEMBERS, &member_ids);
-    c.put_u64s(SEC_ROW_OFFSETS, &row_offsets);
-    c.put_u32s(SEC_ROW_TARGETS, &row_targets);
-    c.put_u32s(SEC_ROW_DISTS, &row_dists);
-    c.write_to(w)
+    c.put_u32_iter(SEC_GRAPH_EDGES, graph.edges().flat_map(|(u, v)| [u.0, v.0]));
+    c.put_u32_iter(SEC_MEMBERS, members.iter().map(|v| v.0));
+    let ends = (0..members.len() as u32).scan(0u64, |end, p| {
+        *end += index.out_degree_by_pos(p) as u64;
+        Some(*end)
+    });
+    c.put_u64_iter(SEC_ROW_OFFSETS, std::iter::once(0).chain(ends));
+    c.put_u32_iter(SEC_ROW_TARGETS, rows().map(|(t, _)| t));
+    c.put_u32_iter(SEC_ROW_DISTS, rows().map(|(_, d)| d));
+    c.finish()
+}
+
+/// Serializes the maintainer state and its epoch as a checkpoint container.
+pub fn write_checkpoint<W: Write>(
+    state: &DynamicKReach,
+    epoch: u64,
+    mut w: W,
+) -> Result<(), StorageError> {
+    w.write_all(&render_checkpoint(state, epoch))?;
+    Ok(())
 }
 
 /// Size and stage timings of one saved checkpoint, returned by
@@ -108,9 +105,11 @@ pub fn save_checkpoint(
 
 /// [`save_checkpoint`], routed through an io seam (sites
 /// `checkpoint.create`, `checkpoint.write`, `checkpoint.fsync`). The
-/// container is rendered fully in memory first, so an injected write fault
-/// tears the file at a byte boundary the loader must reject — exactly what
-/// a real ENOSPC mid-checkpoint leaves behind.
+/// container is rendered once, streamed from the live state straight into
+/// the buffer that one `write_all` hands to the file, so the save's peak
+/// heap is the file's length, and an injected write fault tears the file
+/// at a byte boundary the loader must reject — exactly what a real ENOSPC
+/// mid-checkpoint leaves behind.
 pub fn save_checkpoint_io(
     io_seam: &dyn crate::io::StorageIo,
     state: &DynamicKReach,
@@ -118,8 +117,7 @@ pub fn save_checkpoint_io(
     path: &Path,
 ) -> Result<CheckpointWrite, StorageError> {
     let write_start = std::time::Instant::now();
-    let mut bytes = Vec::new();
-    write_checkpoint(state, epoch, &mut bytes)?;
+    let bytes = render_checkpoint(state, epoch);
     let mut file = io_seam.create("checkpoint.create", path)?;
     io_seam.write_all("checkpoint.write", &mut file, &bytes)?;
     let write_nanos = write_start.elapsed().as_nanos() as u64;
@@ -391,7 +389,7 @@ mod tests {
             members.len() as u64,
             targets.len() as u64,
         ];
-        let mut c = ContainerWriter::new(FileKind::Checkpoint);
+        let mut c = ContainerWriter::new(FileKind::Checkpoint, 6, 0);
         c.put_u64s(SEC_META, &meta);
         c.put_u32s(SEC_GRAPH_EDGES, &edges);
         c.put_u32s(
@@ -401,9 +399,7 @@ mod tests {
         c.put_u64s(SEC_ROW_OFFSETS, &offsets);
         c.put_u32s(SEC_ROW_TARGETS, &targets);
         c.put_u32s(SEC_ROW_DISTS, &dists);
-        let mut bytes = Vec::new();
-        c.write_to(&mut bytes).expect("write");
-        bytes
+        c.finish()
     }
 
     #[test]

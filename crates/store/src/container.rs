@@ -9,6 +9,11 @@
 //! `u32`/`u64` arrays), so loading is read + validate into place — no
 //! per-element decode loop beyond the endian conversion.
 //!
+//! Writing lays the file out once: [`ContainerWriter`] encodes every
+//! section straight into one buffer that is the finished file, so a writer
+//! holds the file's bytes and nothing else, and callers can stream a
+//! section from live state instead of staging it as an array.
+//!
 //! Byte layout (all integers little-endian):
 //!
 //! ```text
@@ -23,7 +28,7 @@
 //! ```
 
 use kreach_core::storage::StorageError;
-use std::io::{Read, Write};
+use std::io::Read;
 
 /// File magic: `b"KRC3"` as a little-endian u32.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"KRC3");
@@ -74,98 +79,110 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// One typed payload queued for writing.
-struct PendingSection {
-    id: u32,
-    elem_size: u32,
-    count: u64,
+/// Lays a `KRC3` container out in one byte buffer, in file order.
+///
+/// The header and section table are reserved up front (the section count
+/// is declared at [`ContainerWriter::new`]). Each `put_*` pads to the next
+/// 8-byte boundary and encodes its values straight into the buffer; the
+/// iterator-fed variants let a caller stream a section from live state
+/// without materializing it as an array first. A section's checksum is
+/// taken over its payload slice as it closes, and
+/// [`ContainerWriter::finish`] fills in the header, so the finished buffer
+/// is the file, byte for byte.
+pub struct ContainerWriter {
+    kind: FileKind,
+    /// Sections declared at construction (table slots reserved).
+    declared: usize,
+    /// Sections closed so far.
+    closed: usize,
     bytes: Vec<u8>,
 }
 
-/// Builds a `KRC3` container in memory, then writes it in one pass.
-pub struct ContainerWriter {
-    kind: FileKind,
-    sections: Vec<PendingSection>,
-}
-
 impl ContainerWriter {
-    /// Starts an empty container of the given kind.
-    pub fn new(kind: FileKind) -> Self {
+    /// Starts a container of the given kind with room for exactly
+    /// `sections` sections, reserving `payload_bytes` (a capacity hint: the
+    /// sum of the payload lengths) after the table so encoding never
+    /// reallocates when the hint is exact.
+    pub fn new(kind: FileKind, sections: usize, payload_bytes: usize) -> Self {
+        let table_end = HEADER_LEN + ENTRY_LEN * sections;
+        let mut bytes = Vec::with_capacity(table_end + payload_bytes + 7 * sections);
+        bytes.resize(table_end, 0);
         ContainerWriter {
             kind,
-            sections: Vec::new(),
+            declared: sections,
+            closed: 0,
+            bytes,
         }
     }
 
     /// Adds a `u32` array section.
     pub fn put_u32s(&mut self, id: u32, values: &[u32]) {
-        let mut bytes = Vec::with_capacity(values.len() * 4);
-        for &v in values {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        self.sections.push(PendingSection {
-            id,
-            elem_size: 4,
-            count: values.len() as u64,
-            bytes,
+        self.put_u32_iter(id, values.iter().copied());
+    }
+
+    /// Adds a `u32` array section, its values taken from an iterator.
+    pub fn put_u32_iter(&mut self, id: u32, values: impl IntoIterator<Item = u32>) {
+        self.section(id, 4, |out| {
+            values
+                .into_iter()
+                .for_each(|v| out.extend_from_slice(&v.to_le_bytes()))
         });
     }
 
     /// Adds a `u64` array section.
     pub fn put_u64s(&mut self, id: u32, values: &[u64]) {
-        let mut bytes = Vec::with_capacity(values.len() * 8);
-        for &v in values {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        self.sections.push(PendingSection {
-            id,
-            elem_size: 8,
-            count: values.len() as u64,
-            bytes,
+        self.put_u64_iter(id, values.iter().copied());
+    }
+
+    /// Adds a `u64` array section, its values taken from an iterator.
+    pub fn put_u64_iter(&mut self, id: u32, values: impl IntoIterator<Item = u64>) {
+        self.section(id, 8, |out| {
+            values
+                .into_iter()
+                .for_each(|v| out.extend_from_slice(&v.to_le_bytes()))
         });
     }
 
     /// Adds a raw byte section.
     pub fn put_bytes(&mut self, id: u32, bytes: &[u8]) {
-        self.sections.push(PendingSection {
-            id,
-            elem_size: 1,
-            count: bytes.len() as u64,
-            bytes: bytes.to_vec(),
-        });
+        self.section(id, 1, |out| out.extend_from_slice(bytes));
     }
 
-    /// Serializes header, table, and aligned payloads to `w`.
-    pub fn write_to<W: Write>(&self, mut w: W) -> Result<(), StorageError> {
-        let table_end = HEADER_LEN + ENTRY_LEN * self.sections.len();
-        let mut offset = table_end.next_multiple_of(8);
+    /// Opens a section at the next 8-byte boundary, lets `encode` append its
+    /// payload, and closes it into the next table slot.
+    fn section(&mut self, id: u32, elem_size: u32, encode: impl FnOnce(&mut Vec<u8>)) {
+        assert!(
+            self.closed < self.declared,
+            "more sections than the {} declared",
+            self.declared
+        );
+        self.bytes.resize(self.bytes.len().next_multiple_of(8), 0);
+        let offset = self.bytes.len();
+        encode(&mut self.bytes);
+        let payload = &self.bytes[offset..];
+        let count = (payload.len() / elem_size as usize) as u64;
+        let checksum = fnv1a64(payload);
+        let at = HEADER_LEN + ENTRY_LEN * self.closed;
+        let entry = &mut self.bytes[at..at + ENTRY_LEN];
+        entry[..4].copy_from_slice(&id.to_le_bytes());
+        entry[4..8].copy_from_slice(&elem_size.to_le_bytes());
+        entry[8..16].copy_from_slice(&(offset as u64).to_le_bytes());
+        entry[16..24].copy_from_slice(&count.to_le_bytes());
+        entry[24..].copy_from_slice(&checksum.to_le_bytes());
+        self.closed += 1;
+    }
 
-        w.write_all(&MAGIC.to_le_bytes())?;
-        w.write_all(&VERSION.to_le_bytes())?;
-        w.write_all(&self.kind.code().to_le_bytes())?;
-        w.write_all(&(self.sections.len() as u32).to_le_bytes())?;
-
-        let mut offsets = Vec::with_capacity(self.sections.len());
-        for s in &self.sections {
-            w.write_all(&s.id.to_le_bytes())?;
-            w.write_all(&s.elem_size.to_le_bytes())?;
-            w.write_all(&(offset as u64).to_le_bytes())?;
-            w.write_all(&s.count.to_le_bytes())?;
-            w.write_all(&fnv1a64(&s.bytes).to_le_bytes())?;
-            offsets.push(offset);
-            offset = (offset + s.bytes.len()).next_multiple_of(8);
-        }
-
-        let mut written = table_end;
-        for (s, &start) in self.sections.iter().zip(&offsets) {
-            while written < start {
-                w.write_all(&[0u8])?;
-                written += 1;
-            }
-            w.write_all(&s.bytes)?;
-            written += s.bytes.len();
-        }
-        Ok(())
+    /// Fills in the header and returns the finished file image.
+    ///
+    /// # Panics
+    /// Panics if fewer sections were added than declared.
+    pub fn finish(mut self) -> Vec<u8> {
+        assert_eq!(self.closed, self.declared, "every declared section added");
+        self.bytes[..4].copy_from_slice(&MAGIC.to_le_bytes());
+        self.bytes[4..8].copy_from_slice(&VERSION.to_le_bytes());
+        self.bytes[8..12].copy_from_slice(&self.kind.code().to_le_bytes());
+        self.bytes[12..16].copy_from_slice(&(self.declared as u32).to_le_bytes());
+        self.bytes
     }
 }
 
@@ -350,13 +367,11 @@ mod tests {
     use super::*;
 
     fn sample() -> Vec<u8> {
-        let mut w = ContainerWriter::new(FileKind::Index);
+        let mut w = ContainerWriter::new(FileKind::Index, 3, 0);
         w.put_u32s(1, &[10, 20, 30]);
         w.put_u64s(2, &[u64::MAX, 7]);
         w.put_bytes(3, b"abc");
-        let mut out = Vec::new();
-        w.write_to(&mut out).expect("in-memory write");
-        out
+        w.finish()
     }
 
     #[test]

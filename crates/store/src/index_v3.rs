@@ -55,7 +55,7 @@ fn strategy_from_code(code: u64) -> Result<CoverStrategy, StorageError> {
 }
 
 /// Serializes an index in format v3 to a writer.
-pub fn write_index_v3<W: Write>(index: &KReachIndex, w: W) -> Result<(), StorageError> {
+pub fn write_index_v3<W: Write>(index: &KReachIndex, mut w: W) -> Result<(), StorageError> {
     let ig = index.index_graph();
     let (cover, offsets, targets) = ig.raw_parts();
     let weights = ig.weights();
@@ -71,17 +71,22 @@ pub fn write_index_v3<W: Write>(index: &KReachIndex, w: W) -> Result<(), Storage
         accel.classes as u64,
         accel.dense_rows as u64,
     ];
-    let cover_ids: Vec<u32> = cover.iter().map(|v| v.0).collect();
+    let packed = weights.packed_bytes();
+    let payload = 8 * meta.len()
+        + 4 * (cover.len() + offsets.len() + targets.len() + accel.dense_of.len())
+        + packed.len()
+        + 8 * accel.dense_words.len();
 
-    let mut c = ContainerWriter::new(FileKind::Index);
+    let mut c = ContainerWriter::new(FileKind::Index, 7, payload);
     c.put_u64s(SEC_META, &meta);
-    c.put_u32s(SEC_COVER, &cover_ids);
+    c.put_u32_iter(SEC_COVER, cover.iter().map(|v| v.0));
     c.put_u32s(SEC_OFFSETS, offsets);
     c.put_u32s(SEC_TARGETS, targets);
-    c.put_bytes(SEC_WPACKED, weights.packed_bytes());
+    c.put_bytes(SEC_WPACKED, packed);
     c.put_u32s(SEC_DENSE_OF, accel.dense_of);
     c.put_u64s(SEC_DENSE_WORDS, accel.dense_words);
-    c.write_to(w)
+    w.write_all(&c.finish())?;
+    Ok(())
 }
 
 /// Saves an index in format v3, fsyncing before returning so a reported
