@@ -20,7 +20,9 @@
 //! microseconds per case, speedups, the case distribution, and engine
 //! queries/sec — the perf-trajectory artifact CI uploads per PR.
 //!
-//! `--smoke` shrinks everything for CI; the JSON shape is identical.
+//! `--smoke` shrinks everything for CI; the JSON shape is identical, but a
+//! smoke run writes it only to an explicit `--output`, so it never replaces
+//! the checked-in non-smoke record.
 
 use kreach_bench::Table;
 use kreach_core::{BuildOptions, KReachIndex, QueryCase, VertexCover};
@@ -37,21 +39,23 @@ struct Config {
     smoke: bool,
     seed: u64,
     queries: usize,
-    output: String,
+    /// Where the JSON goes: `--output`, else `BENCH_query.json` unless
+    /// `--smoke`.
+    output: Option<String>,
     /// Markdown table of calibrated targets; when set, the run exits
     /// nonzero if the hub Case-4 fast path regresses past 2x its target.
     check_targets: Option<String>,
 }
 
-fn parse_args() -> Config {
+fn parse_args(args: impl IntoIterator<Item = String>) -> Config {
     let mut config = Config {
         smoke: false,
         seed: 42,
         queries: 2_000,
-        output: "BENCH_query.json".to_string(),
+        output: None,
         check_targets: None,
     };
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(flag) = args.next() {
         let mut value = |flag: &str| {
             args.next()
@@ -61,7 +65,7 @@ fn parse_args() -> Config {
             "--smoke" => config.smoke = true,
             "--seed" => config.seed = value("--seed").parse().expect("--seed"),
             "--queries" => config.queries = value("--queries").parse().expect("--queries"),
-            "--output" => config.output = value("--output"),
+            "--output" => config.output = Some(value("--output")),
             "--check-targets" => config.check_targets = Some(value("--check-targets")),
             "--help" | "-h" => {
                 eprintln!(
@@ -78,6 +82,8 @@ fn parse_args() -> Config {
     }
     if config.smoke {
         config.queries = config.queries.min(300);
+    } else if config.output.is_none() {
+        config.output = Some("BENCH_query.json".to_string());
     }
     config
 }
@@ -712,7 +718,7 @@ fn uniform_workload(config: &Config, min_nanos: u128) -> WorkloadReport {
 }
 
 fn main() {
-    let config = parse_args();
+    let config = parse_args(std::env::args().skip(1));
     let min_nanos: u128 = if config.smoke { 2_000_000 } else { 40_000_000 };
     let workloads = vec![
         hub_workload(&config, min_nanos),
@@ -741,8 +747,13 @@ fn main() {
         worst_obs.to_json(),
         objects.join(","),
     );
-    std::fs::write(&config.output, &json).expect("write BENCH_query.json");
-    eprintln!("wrote {}", config.output);
+    match &config.output {
+        Some(path) => {
+            std::fs::write(path, &json).expect("write the JSON report");
+            eprintln!("wrote {path}");
+        }
+        None => eprintln!("smoke run without --output: JSON not written"),
+    }
     eprintln!(
         "obs window overhead (worst workload): {:+.2}% of query p50 (budget {:.0}%)",
         worst_obs.overhead_pct(),
@@ -805,4 +816,27 @@ fn check_targets(path: &str, smoke: bool, hub_case4_fast_us: f64) -> Result<(), 
         return Ok(());
     }
     Err(format!("{path}: no hub_case4_fast_us row found"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &str) -> Config {
+        parse_args(args.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn only_a_full_run_defaults_to_the_checked_in_record() {
+        assert_eq!(parse("").output.as_deref(), Some("BENCH_query.json"));
+        assert_eq!(parse("--smoke").output, None);
+        assert_eq!(
+            parse("--smoke --output gate.json").output.as_deref(),
+            Some("gate.json")
+        );
+        assert_eq!(
+            parse("--output full.json").output.as_deref(),
+            Some("full.json")
+        );
+    }
 }

@@ -204,8 +204,8 @@ impl DynamicKReach {
     /// Maintains an index loaded for `g` — the restore path of `kreach
     /// serve --data-dir` — as if it had just been built. The index must have
     /// been checked on the way in
-    /// ([`crate::index_graph::CoverIndexGraph::try_from_raw_parts`]); a
-    /// vertex count or cover that does not fit `g` is an `Err`. (The CSR's
+    /// ([`crate::index_graph::CoverIndexGraph::from_raw_parts_with_accel`]);
+    /// a vertex count or cover that does not fit `g` is an `Err`. (The CSR's
     /// flat adjacency is what the checks and the translation scan fastest.)
     pub fn from_index(
         g: DiGraph,

@@ -541,8 +541,9 @@ impl<W: WeightStore> CoverIndexGraph<W> {
         csr.into_graph(n, cover, threshold)
     }
 
-    /// Reassembles an index graph from serialized raw parts (a v2 file, a
-    /// checkpoint's rows), deriving the hybrid acceleration at the dense-row
+    /// Reassembles an index graph from serialized rows without their
+    /// acceleration (the load-only decoder of the older checkpoint layout in
+    /// `kreach-store`), deriving the hybrid acceleration at the dense-row
     /// `threshold` (see [`CoverIndexGraph::assemble_with_threshold`]). The
     /// parts are untrusted: every structural invariant is checked as in
     /// [`CoverIndexGraph::from_raw_parts_with_accel`], and a violation is an
@@ -1037,21 +1038,28 @@ impl<W: WeightStore> CoverIndexGraph<W> {
         &self.weights
     }
 
-    /// Raw CSR pieces `(cover, offsets, targets)` for serialization.
-    ///
-    /// # Panics
-    /// Panics if a patch has left the rows gapped (only the incremental
-    /// maintainer patches, and it checkpoints row by row through
-    /// [`CoverIndexGraph::out_edges_by_pos`]); every build and load is
-    /// compact.
-    pub fn raw_parts(&self) -> (&[VertexId], &[u32], &[u32]) {
+    /// Whether the rows are a compact CSR: true after every build and load,
+    /// false while the maintainer's patches leave dead space between rows.
+    pub fn is_compact(&self) -> bool {
         let Spans {
             start, end, live, ..
         } = &self.spans;
-        let compact =
-            *live == self.targets.len() && end.iter().zip(&start[1..]).all(|(e, s)| e == s);
-        assert!(compact, "raw CSR parts of a patched, gapped index graph");
-        (&self.cover, start, &self.targets)
+        *live == self.targets.len() && end.iter().zip(&start[1..]).all(|(e, s)| e == s)
+    }
+
+    /// Raw CSR pieces `(cover, offsets, targets)` of a compact index, for
+    /// comparing two indexes piece by piece (serialization streams rows
+    /// through [`CoverIndexGraph::out_edges_by_pos`] instead).
+    ///
+    /// # Panics
+    /// Panics if a patch has left the rows gapped
+    /// ([`CoverIndexGraph::is_compact`] is false).
+    pub fn raw_parts(&self) -> (&[VertexId], &[u32], &[u32]) {
+        assert!(
+            self.is_compact(),
+            "raw CSR parts of a patched, gapped index graph"
+        );
+        (&self.cover, &self.spans.start, &self.targets)
     }
 
     /// Grows the vertex → position map to `n` input vertices; the new

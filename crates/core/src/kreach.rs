@@ -369,11 +369,10 @@ impl KReachIndex {
         )
     }
 
-    /// Reassembles an index from deserialized parts (see [`crate::storage`]
-    /// and the on-disk loaders in `kreach-store`). The caller vouches that
-    /// `index` was validated on the way in — use
-    /// [`CoverIndexGraph::from_raw_parts_with_accel`] or the checked storage
-    /// readers rather than hand-built parts.
+    /// Reassembles an index from deserialized parts (the on-disk loaders in
+    /// `kreach-store`). The caller vouches that `index` was validated on the
+    /// way in — use [`CoverIndexGraph::from_raw_parts_with_accel`] or the
+    /// checked storage readers rather than hand-built parts.
     pub fn from_parts(
         k: u32,
         cover_strategy: CoverStrategy,

@@ -28,8 +28,6 @@
 //!   batch-coalesced bounded-BFS row patching, and lazy re-cover thresholds
 //!   for both cover growth and deletions (the "dynamic updates" direction
 //!   the paper leaves open).
-//! * [`storage`] — compact binary on-disk serialization of the index (the
-//!   paper stores the constructed index on disk).
 //! * [`stats`] — index size / construction statistics used by the benchmark
 //!   harness to reproduce Tables 3, 4 and 9.
 //! * [`paper_example`] — the 10-vertex running example of Figures 1–4; unit
@@ -60,7 +58,6 @@ pub mod index_graph;
 pub mod kreach;
 pub mod paper_example;
 pub mod stats;
-pub mod storage;
 pub mod vertex_cover;
 pub mod weights;
 

@@ -1,38 +1,55 @@
 //! Checkpoint files: a `KRC3` container holding the dynamic maintainer's
 //! graph and index plus the engine epoch it corresponds to.
 //!
-//! A checkpoint serializes [`DynamicKReach`]'s state — the adjacency
-//! graph's edge list and the maintained [`KReachIndex`]'s cover members and
-//! rows, one distance per index edge. Those are the clamped weights
-//! `max(dist, k − 2)` the index stores: incremental repair only ever
-//! writes rows (each from a fresh BFS), never reads a stored distance, so
-//! the index alone restores a maintainer that answers and keeps repairing
-//! exactly like the original. Checkpoints written when section 12 held
-//! true distances load too: their distances are clamped on the way in.
+//! A checkpoint serializes [`DynamicKReach`]'s state: the maintained
+//! [`KReachIndex`] as the sections of an index file, written and read by
+//! [`crate::index_v3`], beside the adjacency graph's edge list. The index
+//! holds the clamped weights `max(dist, k − 2)`: incremental repair only
+//! ever writes rows (each from a fresh BFS), never reads a stored distance,
+//! so the index alone restores a maintainer that answers and keeps
+//! repairing exactly like the original. Restore installs the persisted
+//! dense-row threshold and bitsets rather than re-deriving them.
 //!
 //! Section ids (kind = checkpoint):
+//!
+//! | id  | elems | contents |
+//! |-----|-------|----------|
+//! | 1–7 |       | the maintained index, exactly as in an index file |
+//! | 8   | u32   | graph edges, flattened `(u, v)` pairs in CSR order |
+//! | 13  | u64×3 | checkpoint meta: epoch, n, m |
+//!
+//! Checkpoints of the older layout, which carried the index as rows of
+//! `u32` distances, still load: a file without section 13 is read by
+//! a load-only decoder, which clamps each distance up to
+//! `k − 2` (true distances from still older files included). Its sections:
 //!
 //! | id | elems | contents |
 //! |----|-------|----------|
 //! | 1  | u64×6 | meta: epoch, k, n, m, cover size, total row entries |
-//! | 8  | u32   | graph edges, flattened `(u, v)` pairs in CSR order |
+//! | 8  | u32   | graph edges, as above |
 //! | 9  | u32   | cover member vertex ids, in position order |
 //! | 10 | u64   | row offsets (`cover size + 1`) into targets/distances |
 //! | 11 | u32   | row targets (cover positions) |
 //! | 12 | u32   | row distances (`<= k`), clamped up to `k − 2` on load |
 
 use crate::container::{ContainerReader, ContainerWriter, FileKind};
+use crate::index_v3::{
+    checked_u32, checked_usize, index_sections_len, put_index_sections, read_index_sections,
+    INDEX_SECTIONS,
+};
+use crate::StorageError;
 use kreach_core::dynamic::{DynamicKReach, DynamicOptions};
 use kreach_core::index_graph::CoverIndexGraph;
-use kreach_core::storage::StorageError;
 use kreach_core::weights::{PackedWeights, WeightStore};
 use kreach_core::KReachIndex;
 use kreach_graph::{DiGraph, GraphView, VertexId};
 use std::io::{self, Read, Write};
 use std::path::Path;
 
-const SEC_META: u32 = 1;
 const SEC_GRAPH_EDGES: u32 = 8;
+const SEC_CHECKPOINT_META: u32 = 13;
+// The older layout's own sections, read by `legacy_checkpoint` only.
+const SEC_META: u32 = 1;
 const SEC_MEMBERS: u32 = 9;
 const SEC_ROW_OFFSETS: u32 = 10;
 const SEC_ROW_TARGETS: u32 = 11;
@@ -44,31 +61,16 @@ const SEC_ROW_DISTS: u32 = 12;
 /// holds the file's bytes and nothing else.
 fn render_checkpoint(state: &DynamicKReach, epoch: u64) -> Vec<u8> {
     let graph = state.graph();
-    let index = state.index().index_graph();
-    let members = index.cover_vertices();
-    let (n, m, total) = (graph.vertex_count(), graph.edge_count(), index.edge_count());
-    let rows = || (0..members.len() as u32).flat_map(|p| index.out_edges_by_pos(p));
-
     let meta = [
         epoch,
-        state.k() as u64,
-        n as u64,
-        m as u64,
-        members.len() as u64,
-        total as u64,
+        graph.vertex_count() as u64,
+        graph.edge_count() as u64,
     ];
-    let payload = 8 * meta.len() + 8 * m + 4 * members.len() + 8 * (members.len() + 1) + 8 * total;
-    let mut c = ContainerWriter::new(FileKind::Checkpoint, 6, payload);
-    c.put_u64s(SEC_META, &meta);
+    let payload = index_sections_len(state.index()) + 8 * graph.edge_count() + 8 * meta.len();
+    let mut c = ContainerWriter::new(FileKind::Checkpoint, INDEX_SECTIONS + 2, payload);
+    put_index_sections(&mut c, state.index());
     c.put_u32_iter(SEC_GRAPH_EDGES, graph.edges().flat_map(|(u, v)| [u.0, v.0]));
-    c.put_u32_iter(SEC_MEMBERS, members.iter().map(|v| v.0));
-    let ends = (0..members.len() as u32).scan(0u64, |end, p| {
-        *end += index.out_degree_by_pos(p) as u64;
-        Some(*end)
-    });
-    c.put_u64_iter(SEC_ROW_OFFSETS, std::iter::once(0).chain(ends));
-    c.put_u32_iter(SEC_ROW_TARGETS, rows().map(|(t, _)| t));
-    c.put_u32_iter(SEC_ROW_DISTS, rows().map(|(_, d)| d));
+    c.put_u64s(SEC_CHECKPOINT_META, &meta);
     c.finish()
 }
 
@@ -132,16 +134,16 @@ pub fn save_checkpoint_io(
 
 /// A checkpoint restored into memory.
 pub struct RestoredCheckpoint {
-    /// The maintainer: the checkpointed graph and index, compacted.
+    /// The maintainer: the checkpointed graph and index.
     pub state: DynamicKReach,
     /// Engine epoch the snapshot is at least as new as.
     pub epoch: u64,
 }
 
 /// Reconstructs maintainer state from a parsed checkpoint container,
-/// re-validating counts against the meta section, every structural
-/// invariant of the index through [`CoverIndexGraph::try_from_raw_parts`],
-/// and its cover against the graph through [`DynamicKReach::from_index`].
+/// re-validating counts against the meta section, the index sections
+/// through [`crate::index_v3`]'s checked reader, and the index's cover
+/// against the graph through [`DynamicKReach::from_index`].
 pub fn checkpoint_from_container(
     c: &ContainerReader,
     options: DynamicOptions,
@@ -151,27 +153,31 @@ pub fn checkpoint_from_container(
             "KRC3 file is not a checkpoint (kind mismatch)".into(),
         ));
     }
-    let meta = c.u64s(SEC_META)?;
-    if meta.len() != 6 {
+    if !c.has(SEC_CHECKPOINT_META) {
+        return legacy_checkpoint(c, options);
+    }
+    let meta = c.u64s(SEC_CHECKPOINT_META)?;
+    let [epoch, n, m] = meta[..] else {
         return Err(StorageError::Format(format!(
-            "checkpoint meta section has {} fields (expected 6)",
+            "checkpoint meta section has {} fields (expected 3)",
             meta.len()
         )));
-    }
-    let epoch = meta[0];
-    let k = u32::try_from(meta[1])
-        .map_err(|_| StorageError::Format(format!("k {} does not fit in u32", meta[1])))?;
-    let n = usize::try_from(meta[2])
-        .map_err(|_| StorageError::Format("vertex count overflows usize".into()))?;
-    let m = usize::try_from(meta[3])
-        .map_err(|_| StorageError::Format("edge count overflows usize".into()))?;
-    let cover_len = usize::try_from(meta[4])
-        .map_err(|_| StorageError::Format("cover size overflows usize".into()))?;
-    let total = usize::try_from(meta[5])
-        .map_err(|_| StorageError::Format("row entry count overflows usize".into()))?;
+    };
+    let graph = read_graph(
+        c,
+        checked_usize(n, "vertex count")?,
+        checked_usize(m, "edge count")?,
+    )?;
+    let index = read_index_sections(c)?;
+    let state = DynamicKReach::from_index(graph, index, options).map_err(StorageError::Format)?;
+    Ok(RestoredCheckpoint { state, epoch })
+}
 
+/// Decodes the graph's edge section, checked against `n` vertices and `m`
+/// distinct edges.
+fn read_graph(c: &ContainerReader, n: usize, m: usize) -> Result<DiGraph, StorageError> {
     let edge_pairs = c.u32s(SEC_GRAPH_EDGES)?;
-    if edge_pairs.len() != m * 2 {
+    if m.checked_mul(2) != Some(edge_pairs.len()) {
         return Err(StorageError::Format(format!(
             "edge section has {} values for {m} edges",
             edge_pairs.len()
@@ -192,6 +198,32 @@ pub fn checkpoint_from_container(
             graph.edge_count()
         )));
     }
+    Ok(graph)
+}
+
+/// Load-only decoder of the older checkpoint layout (sections 1 and 8–12,
+/// see the module docs): rows of `u32` distances, each clamped up to
+/// `k − 2`, reassembled through the checked
+/// [`CoverIndexGraph::try_from_raw_parts`], which derives the dense rows
+/// at the options' threshold.
+fn legacy_checkpoint(
+    c: &ContainerReader,
+    options: DynamicOptions,
+) -> Result<RestoredCheckpoint, StorageError> {
+    let meta = c.u64s(SEC_META)?;
+    if meta.len() != 6 {
+        return Err(StorageError::Format(format!(
+            "checkpoint meta section has {} fields (expected 6)",
+            meta.len()
+        )));
+    }
+    let epoch = meta[0];
+    let k = checked_u32(meta[1], "k")?;
+    let n = checked_usize(meta[2], "vertex count")?;
+    let m = checked_usize(meta[3], "edge count")?;
+    let cover_len = checked_usize(meta[4], "cover size")?;
+    let total = checked_usize(meta[5], "row entry count")?;
+    let graph = read_graph(c, n, m)?;
 
     let members: Vec<VertexId> = c.u32s(SEC_MEMBERS)?.into_iter().map(VertexId).collect();
     if members.len() != cover_len {
@@ -432,14 +464,14 @@ mod tests {
             }
         }
         assert_eq!(rows(&restored), rows(&state));
-        // Re-checkpointing writes the clamped weights.
+        // Re-checkpointing writes the current layout: the clamped rows as
+        // index sections, which reload unchanged.
         let mut again = Vec::new();
         write_checkpoint(&restored, 7, &mut again).expect("write");
-        let dists = ContainerReader::read_from(again.as_slice())
-            .expect("container")
-            .u32s(SEC_ROW_DISTS)
-            .expect("dists");
-        assert!(dists.iter().all(|&d| (k - 2..=k).contains(&d)), "{dists:?}");
+        let rewritten = ContainerReader::read_from(again.as_slice()).expect("container");
+        assert!(!rewritten.has(SEC_ROW_DISTS));
+        let reloaded = read_checkpoint(again.as_slice(), DynamicOptions::default()).expect("read");
+        assert_eq!(rows(&reloaded.state), rows(&state));
 
         // A distance past k would overflow the 2-bit weights: a load error.
         let k_at = container
@@ -453,6 +485,84 @@ mod tests {
             read_checkpoint(bad.as_slice(), DynamicOptions::default()),
             Err(StorageError::Format(_))
         ));
+    }
+
+    /// Checkpoint write → read after every batch of random updates, at
+    /// dense thresholds that make every row dense, the default, and none:
+    /// the restored index has the same rows and dense bitsets (installed
+    /// from the file, so restoring under default options keeps a forced
+    /// threshold) and answers exactly as BFS. Patched rows sit in gapped
+    /// spans until a compaction, so this covers the streamed writer on
+    /// uncompacted indexes.
+    #[test]
+    fn checkpoint_round_trip_is_exact_on_patched_indexes() {
+        use kreach_graph::traversal::khop_reachable_bfs;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        let case = (
+            (8u32..32, vec((0u32..32, 0u32..32), 0..64)),
+            (
+                vec(vec((0u32..3, (0u32..64, 0u32..64)), 1..8), 1..8),
+                (1u32..5, 0usize..3),
+            ),
+        );
+        let config = ProptestConfig {
+            cases: 24,
+            ..ProptestConfig::default()
+        };
+        let mut rng = proptest::rng_for("checkpoint::patched_round_trip", &config);
+        let mut gapped = 0;
+        for _ in 0..config.cases {
+            let ((n, edges), (batches, (k, threshold_i))) = case.generate(&mut rng);
+            let g = DiGraph::from_edges(n as usize, edges.iter().map(|&(u, v)| (u % n, v % n)));
+            let mut options = DynamicOptions::default();
+            options.build.dense_row_threshold = [Some(1), None, Some(usize::MAX)][threshold_i];
+            let mut state = DynamicKReach::new(g, k, options);
+            for batch in &batches {
+                let n = state.graph().vertex_count() as u32;
+                let edges: Vec<(VertexId, VertexId)> = state.graph().edges().collect();
+                let updates: Vec<EdgeUpdate> = batch
+                    .iter()
+                    .map(|&(kind, (a, b))| match kind {
+                        1 if !edges.is_empty() => {
+                            let (u, v) = edges[a as usize % edges.len()];
+                            EdgeUpdate::Remove(u, v)
+                        }
+                        2 => EdgeUpdate::Insert(VertexId(a % n), VertexId(n + b % 4)),
+                        _ => EdgeUpdate::Insert(VertexId(a % n), VertexId(b % n)),
+                    })
+                    .collect();
+                state.apply_all(&updates);
+                gapped += usize::from(!state.index().index_graph().is_compact());
+
+                let mut bytes = Vec::new();
+                write_checkpoint(&state, 1, &mut bytes).expect("write");
+                let restored = read_checkpoint(bytes.as_slice(), DynamicOptions::default())
+                    .expect("read")
+                    .state;
+                assert_eq!(rows(&restored), rows(&state));
+                let (a, b) = (
+                    state.index().index_graph().accel_parts(),
+                    restored.index().index_graph().accel_parts(),
+                );
+                assert_eq!(
+                    (a.threshold, a.classes, a.dense_of, a.dense_words),
+                    (b.threshold, b.classes, b.dense_of, b.dense_words)
+                );
+                let g = restored.snapshot_csr();
+                for s in g.vertices() {
+                    for t in g.vertices() {
+                        assert_eq!(
+                            restored.query(s, t),
+                            khop_reachable_bfs(&g, s, t, k),
+                            "k={k} ({s},{t})"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(gapped > 0, "no checkpoint was written from a gapped index");
     }
 
     #[test]

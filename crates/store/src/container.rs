@@ -27,11 +27,11 @@
 //! ...           payloads, each starting on an 8-byte boundary
 //! ```
 
-use kreach_core::storage::StorageError;
+use crate::StorageError;
 use std::io::Read;
 
 /// File magic: `b"KRC3"` as a little-endian u32.
-pub const MAGIC: u32 = u32::from_le_bytes(*b"KRC3");
+const MAGIC: u32 = u32::from_le_bytes(*b"KRC3");
 /// Container format version.
 pub const VERSION: u32 = 3;
 /// Header bytes before the section table.
@@ -46,7 +46,7 @@ const PREALLOC_CAP: usize = 1 << 16;
 pub enum FileKind {
     /// A standalone k-reach index (format v3).
     Index,
-    /// A dynamic-maintainer checkpoint (graph + raw index state + epoch).
+    /// A dynamic-maintainer checkpoint (graph + index sections + epoch).
     Checkpoint,
 }
 
@@ -143,9 +143,9 @@ impl ContainerWriter {
         });
     }
 
-    /// Adds a raw byte section.
-    pub fn put_bytes(&mut self, id: u32, bytes: &[u8]) {
-        self.section(id, 1, |out| out.extend_from_slice(bytes));
+    /// Adds a raw byte section, its bytes taken from an iterator.
+    pub fn put_bytes(&mut self, id: u32, bytes: impl IntoIterator<Item = u8>) {
+        self.section(id, 1, |out| out.extend(bytes));
     }
 
     /// Opens a section at the next 8-byte boundary, lets `encode` append its
@@ -305,6 +305,11 @@ impl ContainerReader {
         self.kind
     }
 
+    /// Whether the container has a section `id`.
+    pub fn has(&self, id: u32) -> bool {
+        self.entries.iter().any(|e| e.id == id)
+    }
+
     fn entry(&self, id: u32, elem_size: u32) -> Result<Entry, StorageError> {
         let entry = self
             .entries
@@ -370,7 +375,7 @@ mod tests {
         let mut w = ContainerWriter::new(FileKind::Index, 3, 0);
         w.put_u32s(1, &[10, 20, 30]);
         w.put_u64s(2, &[u64::MAX, 7]);
-        w.put_bytes(3, b"abc");
+        w.put_bytes(3, *b"abc");
         w.finish()
     }
 

@@ -13,14 +13,17 @@
 //!   alignment, so loading is read + validate into place.
 //! * [`index_v3`] — index format v3 over that container, mirroring the
 //!   in-memory [`kreach_core::KReachIndex`] (including the dense-row
-//!   acceleration, which v1/v2 recompute on load). [`index_v3::load_index`]
-//!   sniffs the magic and still reads v1/v2 files.
+//!   acceleration, so a load installs it instead of recomputing it). It is
+//!   the one codec of an index's bytes: index files and checkpoints both
+//!   hold its sections.
+//! * [`error`] — [`StorageError`], what every load and save returns.
 //! * [`wal`] — the epoch-keyed write-ahead log: every acked update batch is
 //!   appended and fsynced before the ack, in the `kreach update` wire
 //!   grammar, so replay and workload tooling share one parser.
 //! * [`checkpoint`] — periodic snapshots of the dynamic maintainer's state
-//!   (adjacency + the maintained index's clamped rows): the index alone is
-//!   enough to keep repairing, because repair only ever writes rows.
+//!   (adjacency + the maintained index, as index v3's sections): the index
+//!   alone is enough to keep repairing, because repair only ever writes
+//!   rows.
 //! * [`store`] — the data-directory orchestrator: [`store::Store`] wires
 //!   WAL + checkpoint + manifest together, implements the engine's
 //!   [`kreach_engine::DurabilitySink`], and [`store::spawn_checkpointer`]
@@ -52,6 +55,7 @@
 
 pub mod checkpoint;
 pub mod container;
+pub mod error;
 #[cfg(any(debug_assertions, feature = "failpoints"))]
 pub mod fault;
 pub mod index_v3;
@@ -64,6 +68,7 @@ pub use checkpoint::{
     load_checkpoint, save_checkpoint, save_checkpoint_io, CheckpointWrite, RestoredCheckpoint,
 };
 pub use container::{ContainerReader, ContainerWriter, FileKind};
+pub use error::StorageError;
 #[cfg(any(debug_assertions, feature = "failpoints"))]
 pub use fault::{FaultAction, FaultClause, FaultIo, FaultPlan, FaultTrigger};
 pub use index_v3::{load_index, read_index_v3, save_index_v3, write_index_v3};

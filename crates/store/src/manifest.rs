@@ -10,7 +10,7 @@
 //! ```
 
 use crate::io::{RealIo, StorageIo};
-use kreach_core::storage::StorageError;
+use crate::StorageError;
 use std::path::Path;
 
 /// File name of the manifest inside a data directory.

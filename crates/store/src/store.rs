@@ -28,8 +28,8 @@ use crate::checkpoint::{load_checkpoint, save_checkpoint_io};
 use crate::io::{default_io, StorageIo};
 use crate::manifest::{read_manifest, write_manifest_io, Manifest};
 use crate::wal::{replay, Wal};
+use crate::StorageError;
 use kreach_core::dynamic::{DynamicKReach, DynamicOptions};
-use kreach_core::storage::StorageError;
 use kreach_engine::engine::DurabilitySink;
 use kreach_engine::{BatchEngine, DynamicKReachBackend};
 use kreach_graph::EdgeUpdate;

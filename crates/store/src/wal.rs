@@ -27,7 +27,7 @@
 
 use crate::container::fnv1a64;
 use crate::io::{RealIo, StorageIo};
-use kreach_core::storage::StorageError;
+use crate::StorageError;
 use kreach_datasets::workload_file::{read_update_workload, UpdateOp};
 use kreach_graph::EdgeUpdate;
 use std::fs::File;

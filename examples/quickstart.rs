@@ -5,7 +5,6 @@
 //! Run with `cargo run --example quickstart`.
 
 use kreach::core::paper_example::{self, label};
-use kreach::core::storage;
 use kreach::prelude::*;
 
 fn main() {
@@ -50,8 +49,8 @@ fn main() {
 
     // Indexes are meant to be built once and stored on disk (Section 4.1.3).
     let path = std::env::temp_dir().join("kreach-quickstart.idx");
-    storage::save_kreach(&index, &path).expect("save index");
-    let restored = storage::load_kreach(&path).expect("load index");
+    kreach::store::save_index_v3(&index, &path).expect("save index");
+    let restored = kreach::store::load_index(&path).expect("load index");
     assert_eq!(restored.k(), index.k());
     assert!(restored.query(&g, paper_example::B, paper_example::G));
     println!("index round-tripped through {}", path.display());

@@ -48,7 +48,6 @@
 //! Unknown `--flags` are rejected with an error rather than ignored.
 
 use kreach::core::kreach::QueryWitness;
-use kreach::core::storage;
 use kreach::engine::{
     BatchEngine, DynamicKReachBackend, EngineConfig, KReachBackend, Query, QueryBatch,
 };
@@ -242,16 +241,7 @@ fn cmd_generate(args: &[&str]) -> Result<String, String> {
 }
 
 fn cmd_build(args: &[&str]) -> Result<String, String> {
-    ensure_known_flags(
-        args,
-        &[
-            "--k",
-            "--output",
-            "--cover",
-            "--dense-threshold",
-            "--format",
-        ],
-    )?;
+    ensure_known_flags(args, &["--k", "--output", "--cover", "--dense-threshold"])?;
     let paths = positionals(args);
     let [path] = paths.as_slice() else {
         return Err("build expects exactly one edge-list path".to_string());
@@ -303,32 +293,19 @@ fn cmd_build(args: &[&str]) -> Result<String, String> {
             );
         }
     }
-    // Format v3 (the default) also persists the dense bitset acceleration,
-    // so a reload installs it instead of recomputing; v2 is kept for
-    // compatibility with files older tooling must read.
-    let format = flag_value(args, "--format")?.unwrap_or("v3");
-    let accel_note = match format {
-        "v3" => {
-            kreach::store::save_index_v3(&index, output).map_err(|e| e.to_string())?;
-            ", persisted"
-        }
-        "v2" => {
-            storage::save_kreach(&index, output).map_err(|e| e.to_string())?;
-            ", in-memory only"
-        }
-        other => return Err(format!("unknown index format {other:?} (use v2|v3)")),
-    };
+    // Format v3 also persists the dense bitset acceleration, so a reload
+    // installs it instead of recomputing.
+    kreach::store::save_index_v3(&index, output).map_err(|e| e.to_string())?;
     Ok(format!(
         "built {k}-reach index for {path}: cover {} vertices, {} index edges \
-         ({} bitset rows at threshold {}), {} bytes (+{} bytes bitset accel{}) \
-         -> {output} ({format})\n",
+         ({} bitset rows at threshold {}), {} bytes (+{} bytes bitset accel) \
+         -> {output}\n",
         index.cover_size(),
         index.index_edge_count(),
         index.index_graph().dense_row_count(),
         index.index_graph().dense_threshold(),
         index.size_bytes(),
         index.index_graph().accel_size_bytes(),
-        accel_note
     ))
 }
 
@@ -1211,6 +1188,12 @@ mod tests {
         assert!(run(&args("workload g.txt --output x --banana 3")).is_err());
         assert!(run(&args("batch i g q --turbo on")).is_err());
         assert!(run(&args("bench-serve --sharding 9")).is_err());
+    }
+
+    #[test]
+    fn build_has_one_index_format() {
+        let err = run(&args("build g.txt --k 3 --output x --format v2")).unwrap_err();
+        assert!(err.contains("--format") && err.contains("allowed"), "{err}");
     }
 
     #[test]

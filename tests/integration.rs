@@ -171,8 +171,8 @@ fn serialized_index_answers_dataset_queries() {
     let g = dataset("Vchocyc", 40, 53);
     let index = KReachIndex::build(&g, 4, BuildOptions::default());
     let mut buf = Vec::new();
-    kreach::core::storage::write_kreach(&index, &mut buf).expect("serialize");
-    let restored = kreach::core::storage::read_kreach(buf.as_slice()).expect("deserialize");
+    kreach::store::write_index_v3(&index, &mut buf).expect("serialize");
+    let restored = kreach::store::read_index_v3(buf.as_slice()).expect("deserialize");
     let workload = QueryWorkload::uniform(
         &g,
         WorkloadConfig {

@@ -142,8 +142,8 @@ proptest! {
     fn storage_round_trip_preserves_every_answer(g in arb_graph(30, 110), k in 1u32..8) {
         let index = KReachIndex::build(&g, k, BuildOptions::default());
         let mut buf = Vec::new();
-        kreach::core::storage::write_kreach(&index, &mut buf).expect("serialize");
-        let restored = kreach::core::storage::read_kreach(buf.as_slice()).expect("deserialize");
+        kreach::store::write_index_v3(&index, &mut buf).expect("serialize");
+        let restored = kreach::store::read_index_v3(buf.as_slice()).expect("deserialize");
         prop_assert_eq!(restored.k(), index.k());
         for s in g.vertices() {
             for t in g.vertices() {
