@@ -16,7 +16,7 @@
 //!   ([`CoverIndexGraph::edge_weight_le`]) is then a single word probe, and
 //!   the Case-4 inner loop of Algorithm 2 becomes a bitset-AND between a
 //!   hub row and the query's candidate set
-//!   ([`CoverIndexGraph::any_pair_edge_le`]).
+//!   ([`PreparedCandidates::row_any_le`]).
 //! * **Sparse rows.** Everything below the threshold keeps the sorted CSR
 //!   slice, probed by galloping merge-intersection
 //!   ([`kreach_graph::intersect`]) instead of one binary search per
@@ -373,7 +373,7 @@ pub struct AccelParts<'a> {
 
 thread_local! {
     /// Scratch bitset holding a query's candidate positions during
-    /// [`CoverIndexGraph::any_pair_edge_le`]; grown to the largest cover seen
+    /// [`CoverIndexGraph::with_candidates`]; grown to the largest cover seen
     /// on this thread and cleared sparsely after each use.
     static CANDIDATE_SCRATCH: RefCell<FixedBitSet> = RefCell::new(FixedBitSet::new(0));
 }
@@ -883,58 +883,26 @@ impl<W: WeightStore> CoverIndexGraph<W> {
         sources.iter().any(|&pu| self.edge_weight_le(pu, pt, bound))
     }
 
-    /// Whether any candidate in the **sorted** position list has an edge from
-    /// `pu` with weight ≤ `bound` — the Case 2/3 core of Algorithm 2. Dense
-    /// rows probe each candidate in O(1); sparse rows run a galloping
-    /// merge-intersection against the row slice.
-    pub fn any_edge_le(&self, pu: u32, candidates: &[u32], bound: u32) -> bool {
-        match self.accel.slot(pu) {
-            Some(slot) => {
-                kreach_obs::observe::note_dense_probe();
-                match self
-                    .accel
-                    .class_words(slot, bound, self.weights.clamp_min())
-                {
-                    Some(words) => candidates.iter().any(|&pv| RowAccel::probe(words, pv)),
-                    None => false,
-                }
-            }
-            None => self.sparse_any_le(pu, candidates, bound),
-        }
-    }
-
-    /// Whether any `(pu, pv) ∈ sources × targets` index edge has weight ≤
-    /// `bound` — the Case-4 core of Algorithm 2 (both lists sorted by
-    /// position). Sparse source rows gallop against `targets`; dense rows
-    /// AND their weight-bucket bitset with a scratch bitset of the targets,
-    /// built at most once per call.
-    pub fn any_pair_edge_le(&self, sources: &[u32], targets: &[u32], bound: u32) -> bool {
-        if sources.is_empty() || targets.is_empty() {
-            return false;
-        }
-        if bound < self.weights.clamp_min() {
-            return false;
-        }
-        self.with_candidates(targets, |prep| {
-            sources.iter().any(|&pu| prep.row_any_le(pu, bound))
-        })
-    }
-
-    /// Prepares a sorted candidate position list for repeated row probes and
-    /// runs `f` against it — the batched entry point behind
-    /// [`CoverIndexGraph::any_pair_edge_le`] and the engine's target-grouped
-    /// Case-4 kernel. The candidate scratch bitset (when worthwhile) is built
-    /// **once**, then every [`PreparedCandidates::row_any_le`] inside `f`
-    /// reuses it.
+    /// Prepares a sorted candidate position list for `row_probes` row probes
+    /// and runs `f` against it — the Case 2/4 core of Algorithm 2's kernel
+    /// ([`crate::KReachIndex::query_group_k`]). The candidate scratch bitset
+    /// is built **once**, then every [`PreparedCandidates::row_any_le`]
+    /// inside `f` reuses it. It costs two passes over the candidates, so it
+    /// is built only when it can pay: enough candidates, some dense rows, and
+    /// more than one row probe to share it.
     ///
-    /// `f` must not re-enter `with_candidates` / `any_pair_edge_le` on the
-    /// same thread (the scratch bitset is a thread-local `RefCell`).
+    /// `f` must not re-enter `with_candidates` on the same thread (the
+    /// scratch bitset is a thread-local `RefCell`).
+    #[inline]
     pub fn with_candidates<R>(
         &self,
         candidates: &[u32],
+        row_probes: usize,
         f: impl FnOnce(&PreparedCandidates<'_, W>) -> R,
     ) -> R {
-        let use_scratch = candidates.len() >= SCRATCH_MIN_CANDIDATES && self.accel.dense_rows > 0;
+        let use_scratch = candidates.len() >= SCRATCH_MIN_CANDIDATES
+            && self.accel.dense_rows > 0
+            && row_probes > 1;
         if !use_scratch {
             return f(&PreparedCandidates {
                 ig: self,
@@ -1316,6 +1284,20 @@ mod tests {
         }
     }
 
+    /// Whether any `(pu, pv) ∈ sources × candidates` index edge has weight
+    /// ≤ `bound`, probed through one candidate set prepared as for a group,
+    /// so the scratch bitset is used whenever it can be.
+    fn any_pair_le<W: WeightStore>(
+        g: &CoverIndexGraph<W>,
+        sources: &[u32],
+        candidates: &[u32],
+        bound: u32,
+    ) -> bool {
+        g.with_candidates(candidates, usize::MAX, |prep| {
+            sources.iter().any(|&pu| prep.row_any_le(pu, bound))
+        })
+    }
+
     #[test]
     fn candidate_set_probes_agree_with_naive() {
         let variants = [sample_graph(), sample_graph_dense()];
@@ -1328,9 +1310,9 @@ mod tests {
                             .iter()
                             .any(|&pv| g.edge_weight_by_pos(pu, pv).is_some_and(|w| w <= bound));
                         assert_eq!(
-                            g.any_edge_le(pu, cands, bound),
+                            any_pair_le(g, &[pu], cands, bound),
                             expected,
-                            "any_edge_le pu={pu} cands={cands:?} bound={bound}"
+                            "row_any_le pu={pu} cands={cands:?} bound={bound}"
                         );
                     }
                 }
@@ -1345,7 +1327,7 @@ mod tests {
                                 .any(|&pv| g.edge_weight_by_pos(pu, pv).is_some_and(|w| w <= bound))
                         });
                         assert_eq!(
-                            g.any_pair_edge_le(sources, targets, bound),
+                            any_pair_le(g, sources, targets, bound),
                             expected,
                             "any_pair sources={sources:?} targets={targets:?} bound={bound}"
                         );
@@ -1367,15 +1349,12 @@ mod tests {
             CoverIndexGraph::assemble_with_threshold(40, cover, rows, 1, Some(4));
         assert_eq!(g.dense_row_count(), 1);
         let targets: Vec<u32> = (10..30).collect();
-        assert!(g.any_pair_edge_le(&[0], &targets, 3));
-        assert!(!g.any_pair_edge_le(&[0], &targets, 0));
+        assert!(any_pair_le(&g, &[0], &targets, 3));
+        assert!(!any_pair_le(&g, &[0], &targets, 0));
         // Candidates that never matched must not linger in the scratch.
         let miss_targets: Vec<u32> = (1..20).collect();
-        assert!(
-            !g.any_pair_edge_le(&[5], &miss_targets, 3),
-            "row 5 is empty"
-        );
-        assert!(g.any_pair_edge_le(&[0, 5], &targets, 2));
+        assert!(!any_pair_le(&g, &[5], &miss_targets, 3), "row 5 is empty");
+        assert!(any_pair_le(&g, &[0, 5], &targets, 2));
     }
 
     /// A 40-vertex cover with one heavy hub row and a handful of light rows.
@@ -1400,9 +1379,9 @@ mod tests {
         }
         let cands: Vec<u32> = (5..30).collect();
         for pu in 0..40u32 {
-            out.push(g.any_edge_le(pu, &cands, 2));
+            out.push(any_pair_le(g, &[pu], &cands, 2));
         }
-        out.push(g.any_pair_edge_le(&[0, 7, 20], &cands, 2));
+        out.push(any_pair_le(g, &[0, 7, 20], &cands, 2));
         out.push(g.any_source_edge_le(&[0, 7, 20], 20, 1));
         out
     }
@@ -1430,20 +1409,26 @@ mod tests {
             hub_graph(Some(usize::MAX)),
         ] {
             let cands: Vec<u32> = (3..25).collect();
-            for bound in 0..5u32 {
-                let grouped: Vec<(bool, bool)> = g.with_candidates(&cands, |prep| {
-                    (0..40u32)
-                        .map(|pu| (prep.contains(pu), prep.row_any_le(pu, bound)))
-                        .collect()
-                });
-                for (pu, &(contains, any_le)) in grouped.iter().enumerate() {
-                    let pu = pu as u32;
-                    assert_eq!(contains, cands.binary_search(&pu).is_ok());
-                    assert_eq!(
-                        any_le,
-                        g.any_edge_le(pu, &cands, bound),
-                        "pu={pu} bound={bound}"
-                    );
+            // One row probe skips the scratch bitset; forty share it.
+            for row_probes in [1, 40] {
+                for bound in 0..5u32 {
+                    let grouped: Vec<(bool, bool)> =
+                        g.with_candidates(&cands, row_probes, |prep| {
+                            (0..40u32)
+                                .map(|pu| (prep.contains(pu), prep.row_any_le(pu, bound)))
+                                .collect()
+                        });
+                    for (pu, &(contains, any_le)) in grouped.iter().enumerate() {
+                        let pu = pu as u32;
+                        assert_eq!(contains, cands.binary_search(&pu).is_ok());
+                        let expected = cands
+                            .iter()
+                            .any(|&pv| g.edge_weight_by_pos(pu, pv).is_some_and(|w| w <= bound));
+                        assert_eq!(
+                            any_le, expected,
+                            "pu={pu} bound={bound} probes={row_probes}"
+                        );
+                    }
                 }
             }
         }

@@ -1,11 +1,11 @@
 //! The k-reach index: construction (Algorithm 1) and query processing
 //! (Algorithm 2).
 
-use crate::index_graph::{CoverIndexGraph, Spans};
+use crate::index_graph::{CoverIndexGraph, PreparedCandidates, Spans};
 use crate::stats::IndexStats;
 use crate::vertex_cover::{CoverStrategy, VertexCover};
 use crate::weights::PackedWeights;
-use kreach_graph::intersect::{sorted_any_common, sorted_contains};
+use kreach_graph::intersect::sorted_contains;
 use kreach_graph::{GraphView, VertexId};
 use std::cell::RefCell;
 use std::sync::OnceLock;
@@ -463,89 +463,46 @@ impl KReachIndex {
             .get_or_init(|| PosAdjacency::build(g, &self.index))
     }
 
-    /// Answers the query and reports which of the four cases was executed.
-    ///
-    /// This is the hybrid fast path: Cases 2–4 intersect pre-translated
-    /// sorted neighbour-position lists against the index rows (bitset probes
-    /// on dense rows, galloping merges on sparse ones) instead of one
-    /// `cover_pos[]` load plus binary search per neighbour. The original
-    /// nested-loop formulation is retained as
-    /// [`KReachIndex::query_with_case_naive`] and the two are asserted
-    /// equivalent by the differential property tests.
+    /// Answers the query and reports which of the four cases was executed:
+    /// the one-source call of [`KReachIndex::query_group_k`], so single and
+    /// grouped queries share one Algorithm-2 kernel. The nested-loop
+    /// formulation is retained as [`KReachIndex::query_with_case_naive`] and
+    /// the two are asserted equivalent by the differential property tests.
     pub fn query_with_case<G: GraphView>(
         &self,
         g: &G,
         s: VertexId,
         t: VertexId,
     ) -> (bool, QueryCase) {
-        let case = self.classify(s, t);
-        kreach_obs::observe::note_case(case.number());
-        if s == t {
-            return (true, case);
-        }
-        let k = self.k;
-        let ig = &self.index;
-        let answer = match case {
-            // Case 1: both in the cover — the edge (s, t) exists iff s →k t.
-            QueryCase::BothInCover => {
-                let ps = ig.position(s).expect("case 1 source is covered");
-                let pt = ig.position(t).expect("case 1 target is covered");
-                ig.edge_exists_by_pos(ps, pt)
-            }
-            // Case 2: s in the cover, t not — so every in-neighbour of t is
-            // covered, and any path s ⇝ t of length ≤ k enters t through one
-            // of them with at most k−1 hops used, or is the edge (s, t).
-            QueryCase::SourceInCover => {
-                let ps = ig.position(s).expect("case 2 source is covered");
-                let inn = self.pos_adj(g).in_pos(t);
-                // k ≥ 1 always holds (asserted at build), so a direct edge —
-                // ps appearing among t's in-neighbour positions — answers.
-                sorted_contains(inn, ps) || ig.any_edge_le(ps, inn, k - 1)
-            }
-            // Case 3: mirror image of Case 2 through outNei(s, G).
-            QueryCase::TargetInCover => {
-                let pt = ig.position(t).expect("case 3 target is covered");
-                let out = self.pos_adj(g).out_pos(s);
-                sorted_contains(out, pt) || ig.any_source_edge_le(out, pt, k - 1)
-            }
-            // Case 4: neither endpoint is covered; the path must leave s into
-            // a covered out-neighbour and enter t from a covered in-neighbour,
-            // spending two hops on those steps.
-            QueryCase::NeitherInCover => {
-                if k < 2 {
-                    // A 1-hop path would be an uncovered edge, which the
-                    // cover property forbids.
-                    false
-                } else {
-                    let adj = self.pos_adj(g);
-                    let out = adj.out_pos(s);
-                    let inn = adj.in_pos(t);
-                    // Shared covered neighbour: s → u → t in two hops.
-                    sorted_any_common(out, inn) || ig.any_pair_edge_le(out, inn, k - 2)
-                }
-            }
-        };
-        (answer, case)
+        let mut answer = [false];
+        self.query_group_k(g, &[s], t, self.k, &mut answer);
+        (answer[0], self.classify(s, t))
     }
 
     /// Answers a group of queries sharing one target: `answers[i] = s_i →k t`
-    /// — the batched entry point of the engine's target-grouped dispatch.
+    /// — Algorithm 2's one fast kernel, behind single queries
+    /// ([`KReachIndex::query_with_case`]) and the engine's target-grouped
+    /// dispatch alike.
     ///
-    /// For the index's own hop bound this answers every source against state
-    /// prepared **once per group**: the backward candidate list `inNei(t)` is
-    /// translated once, its Case-4 scratch bitset is built once
-    /// ([`CoverIndexGraph::with_candidates`]), and per-row
-    /// "does this covered out-neighbour reach the candidates" verdicts are
-    /// memoized across the group's sources (`RowMemo`), since sources that
-    /// share a target usually share hub out-neighbours. Any other hop bound
-    /// falls back to the exact per-query online search.
+    /// Cases 2–4 intersect pre-translated sorted neighbour-position lists
+    /// against the index rows (bitset probes on dense rows, galloping merges
+    /// on sparse ones) instead of one `cover_pos[]` load plus binary search
+    /// per neighbour. For the index's own hop bound every source is answered
+    /// against state prepared **once per group**: the backward candidate
+    /// list `inNei(t)` is translated once, its Case-4 scratch bitset is built
+    /// once ([`CoverIndexGraph::with_candidates`]), and per-row "does this
+    /// covered out-neighbour reach the candidates" verdicts are memoized
+    /// across the group's sources (`RowMemo`), since sources that share a
+    /// target usually share hub out-neighbours. A one-source group skips
+    /// the memo, and the scratch when it would serve a single row probe.
+    /// Any other hop bound falls back to the exact per-query online search.
     ///
-    /// Answers are bit-identical to calling [`KReachIndex::query_k`] per
-    /// source, and each source is tallied to its Algorithm-2 case exactly as
-    /// the per-query path does.
+    /// Answers are bit-identical to [`KReachIndex::query_with_case_naive`]
+    /// per source, and each source is tallied to its own Algorithm-2 case.
     ///
     /// # Panics
     /// Panics if `sources` and `answers` differ in length.
+    #[inline]
     pub fn query_group_k<G: GraphView>(
         &self,
         g: &G,
@@ -566,7 +523,6 @@ impl KReachIndex {
             return;
         }
         let ig = &self.index;
-        let adj = self.pos_adj(g);
         if let Some(pt) = ig.position(t) {
             // Covered target: Cases 1 and 3 only, no candidate scratch to
             // share — but the target position is translated once.
@@ -576,46 +532,88 @@ impl KReachIndex {
                 *answer = if s == t {
                     true
                 } else if let Some(ps) = ig.position(s) {
+                    // Case 1: both in the cover — the edge (s, t) exists iff
+                    // s →k t.
                     ig.edge_exists_by_pos(ps, pt)
                 } else {
-                    let out = adj.out_pos(s);
+                    // Case 3: every out-neighbour of s is covered, so a path
+                    // is the edge (s, t) or leaves s through one of them
+                    // with at most k−1 hops left.
+                    let out = self.pos_adj(g).out_pos(s);
                     sorted_contains(out, pt) || ig.any_source_edge_le(out, pt, k - 1)
                 };
             }
             return;
         }
         // Uncovered target: Cases 2 and 4 — every source probes the same
-        // sorted candidate list inNei(t).
+        // sorted candidate list inNei(t). A lone Case-2 source probes one
+        // row; a lone Case-4 source one per covered out-neighbour.
+        let adj = self.pos_adj(g);
         let inn = adj.in_pos(t);
-        ig.with_candidates(inn, |prep| {
+        let row_probes = match sources {
+            [s] if ig.in_cover(*s) => 1,
+            [s] => adj.out_pos(*s).len(),
+            _ => sources.len(),
+        };
+        ig.with_candidates(inn, row_probes, |prep| {
+            if let ([s], [answer]) = (sources, &mut *answers) {
+                // A lone source meets each row once: nothing to memoize.
+                // Skipping the memo's thread-local set-up made lone Case-2
+                // and Case-4 queries 20–40% faster in `query_throughput`.
+                *answer = self.answer_uncovered_target(adj, prep, None, *s, t, k);
+                return;
+            }
             ROW_MEMO.with(|cell| {
                 let mut memo = cell.borrow_mut();
                 memo.begin(ig.cover_size());
                 for (answer, &s) in answers.iter_mut().zip(sources) {
-                    let case = self.classify(s, t);
-                    kreach_obs::observe::note_case(case.number());
-                    *answer = if s == t {
-                        true
-                    } else if let Some(ps) = ig.position(s) {
-                        // Case 2: direct edge (ps ∈ inn) or an index edge
-                        // from ps into the candidates within k−1 hops.
-                        prep.contains(ps) || prep.row_any_le(ps, k - 1)
-                    } else if k < 2 {
-                        false
-                    } else {
-                        // Case 4, folded: a shared covered neighbour is
-                        // `prep.contains(pu)`, a cover pair within k−2 is
-                        // `prep.row_any_le(pu, k−2)` — memoized per row.
-                        let out = adj.out_pos(s);
-                        out.iter().any(|&pu| {
-                            memo.get_or_insert_with(pu, || {
-                                prep.contains(pu) || prep.row_any_le(pu, k - 2)
-                            })
-                        })
-                    };
+                    *answer = self.answer_uncovered_target(adj, prep, Some(&mut memo), s, t, k);
                 }
             })
         });
+    }
+
+    /// Cases 2 and 4 for one source against the prepared candidates
+    /// inNei(t) of an uncovered target, memoizing Case 4's per-row verdicts
+    /// in `memo` when given.
+    // Always inlined: a call per grouped source cost fan-in groups of 64
+    // and 256 sources 14–22% in `query_throughput`.
+    #[inline(always)]
+    fn answer_uncovered_target(
+        &self,
+        adj: &PosAdjacency,
+        prep: &PreparedCandidates<'_, PackedWeights>,
+        memo: Option<&mut RowMemo>,
+        s: VertexId,
+        t: VertexId,
+        k: u32,
+    ) -> bool {
+        let case = self.classify(s, t);
+        kreach_obs::observe::note_case(case.number());
+        if s == t {
+            return true;
+        }
+        if let Some(ps) = self.index.position(s) {
+            // Case 2, the mirror of Case 3: direct edge (ps ∈ inn) or an
+            // index edge from ps into the candidates within k−1 hops.
+            return prep.contains(ps) || prep.row_any_le(ps, k - 1);
+        }
+        if k < 2 {
+            // Case 4 with k = 1: the path would be an uncovered edge, which
+            // the cover property forbids.
+            return false;
+        }
+        // Case 4: the path leaves s into a covered out-neighbour and enters
+        // t from a covered in-neighbour, spending two hops: a shared covered
+        // neighbour, or a cover pair within k−2.
+        let out = adj.out_pos(s);
+        let reaches = |pu: u32| prep.contains(pu) || prep.row_any_le(pu, k - 2);
+        match memo {
+            Some(memo) => out
+                .iter()
+                .any(|&pu| memo.get_or_insert_with(pu, || reaches(pu))),
+            None => out.iter().any(|&pu| reaches(pu)),
+        }
     }
 
     /// The original Algorithm-2 formulation — one `cover_pos[]` lookup plus
@@ -1121,14 +1119,21 @@ mod tests {
             let sources: Vec<VertexId> = g.vertices().collect();
             let mut grouped = vec![false; sources.len()];
             for t in g.vertices() {
+                // The kernel against the nested-loop reference and BFS.
                 index.query_group_k(&g, &sources, t, k, &mut grouped);
                 for (&s, &got) in sources.iter().zip(&grouped) {
-                    assert_eq!(got, index.query_k(&g, s, t, k), "k={k} ({s},{t})");
+                    assert_eq!(
+                        got,
+                        index.query_with_case_naive(&g, s, t).0,
+                        "k={k} ({s},{t})"
+                    );
+                    assert_eq!(got, khop_reachable_bfs(&g, s, t, k), "k={k} ({s},{t})");
                 }
                 // A mismatched hop bound exercises the fallback arm.
                 index.query_group_k(&g, &sources, t, k + 1, &mut grouped);
                 for (&s, &got) in sources.iter().zip(&grouped) {
-                    assert_eq!(got, index.query_k(&g, s, t, k + 1), "k={} ({s},{t})", k + 1);
+                    let expected = khop_reachable_bfs(&g, s, t, k + 1);
+                    assert_eq!(got, expected, "k={} ({s},{t})", k + 1);
                 }
             }
         }

@@ -17,14 +17,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// Queries per claimed chunk. Small enough to balance load, large enough
+/// that the per-chunk write-back lock is negligible next to query work.
+const CHUNK_SIZE: usize = 256;
+
 /// Engine tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Worker threads; `0` uses the number of available CPUs.
     pub workers: usize,
-    /// Queries per claimed chunk. Small enough to balance load, large enough
-    /// that the per-chunk write-back lock is negligible next to query work.
-    pub chunk_size: usize,
     /// Largest vertex set a mutation batch may grow the graph to. Vertex
     /// growth allocates per-vertex adjacency state, so one hostile update
     /// line (`+ 0 4294967295`) would otherwise commit gigabytes before the
@@ -38,7 +39,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             workers: 0,
-            chunk_size: 256,
             max_vertices: 1 << 24,
         }
     }
@@ -270,7 +270,6 @@ pub struct DegradedInfo {
 pub struct BatchEngine {
     backend: Arc<dyn Reachability>,
     pool: WorkerPool,
-    chunk_size: usize,
     max_vertices: usize,
     /// Mutation epoch: one bump per applied update batch. It stamps WAL
     /// records, `/healthz` and update echoes, and survives restarts through
@@ -312,10 +311,12 @@ impl BatchEngine {
         Self::with_recorder(backend, config, Recorder::disabled())
     }
 
-    /// Like [`BatchEngine::new`], with a tracing recorder: every served
-    /// query opens a span (nesting under the submitting thread's trace when
-    /// one is active). The recorder stays out of [`EngineConfig`] so the
-    /// config remains a plain comparable value.
+    /// Like [`BatchEngine::new`], with a tracing recorder: every batch opens
+    /// an `engine.batch` span and every same-`(t, k)` run in it an
+    /// `engine.group` span (nesting under the submitting thread's trace when
+    /// one is active). Tracing never changes the dispatch: traced and
+    /// untraced engines run the same grouped kernel. The recorder stays out
+    /// of [`EngineConfig`] so the config remains a plain comparable value.
     pub fn with_recorder(
         backend: Arc<dyn Reachability>,
         config: EngineConfig,
@@ -324,7 +325,6 @@ impl BatchEngine {
         BatchEngine {
             backend,
             pool: WorkerPool::new(config.effective_workers()),
-            chunk_size: config.chunk_size.max(1),
             max_vertices: config.max_vertices.max(1),
             epoch: AtomicU64::new(0),
             recorder,
@@ -718,7 +718,7 @@ impl BatchEngine {
     /// Executes a batch, returning answers in batch order.
     ///
     /// Answers are deterministic: for a fixed backend and batch, the answer
-    /// vector is identical for every worker count and chunk size.
+    /// vector is identical for every worker count, traced or not.
     pub fn run(&self, batch: &QueryBatch) -> Result<BatchOutcome, EngineError> {
         let mut answers = Vec::new();
         let (stats, tally) = self.run_into(batch, &mut answers)?;
@@ -773,7 +773,7 @@ impl BatchEngine {
             let task = Arc::new(BatchTask::new(
                 batch.shared_queries(),
                 Arc::clone(&self.backend),
-                self.chunk_size,
+                CHUNK_SIZE,
                 self.recorder.clone(),
                 std::mem::take(answers),
             ));
@@ -995,7 +995,6 @@ mod tests {
                 k,
                 EngineConfig {
                     workers,
-                    chunk_size: 64,
                     ..Default::default()
                 },
             )
@@ -1126,7 +1125,6 @@ mod tests {
             EngineConfig {
                 workers: 1,
                 max_vertices: 1000,
-                ..Default::default()
             },
         );
         // A hostile update line naming u32::MAX must error, not allocate
@@ -1224,8 +1222,22 @@ mod tests {
         assert!(text.contains("case"), "{text}");
     }
 
+    /// Fan-in traffic over `g`: every source asks about each of a handful
+    /// of hot targets twice (duplicates must survive grouping too), so each
+    /// chunk holds large same-target runs for the batched kernel.
+    fn fan_in_batch(g: &DiGraph, k: u32) -> QueryBatch {
+        let mut queries = Vec::new();
+        for t in [VertexId(0), VertexId(1), VertexId(17)] {
+            for s in g.vertices() {
+                queries.push(Query { s, t, k });
+                queries.push(Query { s, t, k });
+            }
+        }
+        QueryBatch::new(queries)
+    }
+
     #[test]
-    fn traced_engine_records_per_query_spans_under_one_trace() {
+    fn traced_engine_records_group_spans_under_one_trace() {
         let g = Arc::new(DiGraph::from_edges(4, [(0, 1), (1, 2), (2, 3)]));
         let index = KReachIndex::build(&g, 2, BuildOptions::default());
         let recorder = Recorder::new(4096);
@@ -1250,15 +1262,63 @@ mod tests {
             spans.iter().any(|s| s.name == "engine.batch"),
             "batch span missing: {spans:?}"
         );
-        let query_spans: Vec<_> = spans.iter().filter(|s| s.name == "engine.query").collect();
-        assert_eq!(query_spans.len(), batch.len());
+        let group_spans: Vec<_> = spans.iter().filter(|s| s.name == "engine.group").collect();
+        // One span per same-(t, k) run: four targets, one k.
+        assert_eq!(group_spans.len(), 4, "{group_spans:?}");
+        let sizes: usize = group_spans
+            .iter()
+            .map(|s| {
+                let size = s.detail.split(' ').find_map(|f| f.strip_prefix("size="));
+                size.expect("group note carries its size")
+                    .parse::<usize>()
+                    .unwrap()
+            })
+            .sum();
+        assert_eq!(sizes, batch.len());
         // Worker spans joined the caller's trace instead of opening roots.
         assert!(spans.iter().all(|s| s.trace_id == root_id), "{spans:?}");
         assert!(
-            query_spans
+            group_spans
                 .iter()
-                .all(|s| s.detail.contains("case=") && s.detail.contains("resolution=")),
-            "{query_spans:?}"
+                .all(|s| ["t=", "k=", "case1=", "case4=", "resolution="]
+                    .iter()
+                    .all(|field| s.detail.contains(field))),
+            "{group_spans:?}"
+        );
+
+        // Tracing never changes the dispatch: a fan-in batch runs the batched
+        // kernel on a traced engine, with answers and case counts identical
+        // to an untraced one.
+        let g = Arc::new(
+            GeneratorSpec::PowerLaw {
+                n: 100,
+                m: 420,
+                hubs: 3,
+            }
+            .generate(11),
+        );
+        let fan_in = fan_in_batch(&g, 3);
+        let config = EngineConfig {
+            workers: 2,
+            ..Default::default()
+        };
+        let traced = BatchEngine::with_recorder(
+            Arc::new(KReachBackend::new(
+                Arc::clone(&g),
+                KReachIndex::build(&g, 3, BuildOptions::default()),
+            )),
+            config,
+            Recorder::new(16),
+        )
+        .run(&fan_in)
+        .unwrap();
+        let untraced = engine_over(&g, 3, config).run(&fan_in).unwrap();
+        assert_eq!(traced.answers, untraced.answers);
+        assert_eq!(traced.stats.case_counts, untraced.stats.case_counts);
+        assert!(traced.tally.batched_queries() > 0);
+        assert_eq!(
+            traced.tally.batched_queries(),
+            untraced.tally.batched_queries()
         );
     }
 
@@ -1331,35 +1391,23 @@ mod tests {
             .generate(11),
         );
         let k = 3;
-        // Fan-in traffic: every source asks about a handful of hot targets
-        // (plus duplicate queries, which must survive grouping too), so each
-        // chunk holds large same-target runs for the batched kernel.
-        let mut queries = Vec::new();
-        for t in [VertexId(0), VertexId(1), VertexId(17)] {
-            for s in g.vertices() {
-                queries.push(Query { s, t, k });
-                queries.push(Query { s, t, k });
-            }
-        }
-        let batch = QueryBatch::new(queries);
+        // 600 queries: the batch spans several chunks.
+        let batch = fan_in_batch(&g, k);
         let config = EngineConfig {
             workers: 2,
-            chunk_size: 128,
             ..Default::default()
         };
-        // A traced engine answers one query at a time (per-query spans).
-        let index = KReachIndex::build(&g, k, BuildOptions::default());
-        let per_query = BatchEngine::with_recorder(
-            Arc::new(KReachBackend::new(Arc::clone(&g), index)),
-            config,
-            Recorder::new(16),
-        )
-        .run(&batch)
-        .unwrap();
         let grouped_engine = engine_over(&g, k, config);
         let grouped = grouped_engine.run(&batch).unwrap();
-        // Byte-identical answers: grouping changes dispatch, never results.
-        assert_eq!(grouped.answers, per_query.answers);
+        // Byte-identical answers to the nested-loop reference, one query at
+        // a time: grouping changes dispatch, never results.
+        let index = KReachIndex::build(&g, k, BuildOptions::default());
+        let mut case_counts = [0u64; CLASSES];
+        for (q, &answer) in batch.queries().iter().zip(&grouped.answers) {
+            let (expected, case) = index.query_with_case_naive(g.as_ref(), q.s, q.t);
+            assert_eq!(answer, expected, "{q:?}");
+            case_counts[case.number() as usize - 1] += 1;
+        }
         assert!(
             grouped.tally.batched_queries() > 0,
             "shared-target traffic must engage the batched kernel"
@@ -1367,11 +1415,10 @@ mod tests {
         assert!(grouped.tally.batched_groups() > 0);
         // Grouped queries are still tallied per class, once each.
         assert_eq!(grouped.tally.total(), batch.len() as u64);
-        assert_eq!(grouped.stats.case_counts, per_query.stats.case_counts);
+        assert_eq!(grouped.stats.case_counts, case_counts);
         let info = grouped_engine.info();
         assert_eq!(info.batched_queries, grouped.tally.batched_queries());
         assert_eq!(info.batched_groups, grouped.tally.batched_groups());
-        assert_eq!(per_query.tally.batched_queries(), 0);
     }
 
     #[test]

@@ -10,20 +10,24 @@
 //! a single locked copy. Compared to the earlier one-channel-message-per-
 //! chunk design, a batch costs `O(workers)` channel operations instead of
 //! `O(chunks)` send/recv pairs, and results never traverse a channel at all.
+//!
+//! Within a chunk there is one dispatch path, traced or not: queries are
+//! sorted by `(t, k)` and each same-`(t, k)` run is one
+//! [`Reachability::query_group`] call. A live recorder adds one
+//! `engine.group` span per run; it never changes which kernel answers.
 
 use crate::backend::Reachability;
 use crate::batch::Query;
 use crate::casestats::CaseTally;
 use crate::histogram::LatencyHistogram;
 use kreach_graph::VertexId;
-use kreach_obs::observe::{ProbeMark, QueryObservation};
+use kreach_obs::observe::{ProbeMark, QueryObservation, CLASSES};
 use kreach_obs::Recorder;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 /// Reusable per-worker buffers for chunk answering. Workers live for the
 /// pool's lifetime, so after the first few chunks the serve path runs
@@ -171,85 +175,33 @@ impl BatchTask {
     /// Answers the queries in `[start, end)` into `scratch.answers`
     /// (chunk-relative), returning the latency histogram and per-case tally.
     ///
-    /// Untraced serving dispatches through the target-grouped batched
-    /// kernel. A traced engine answers one query at a time instead, because
-    /// each query gets its own `engine.query` span carrying its case,
-    /// resolution and answer — a grouped call has no per-query timing or
-    /// probe signals to put in one.
+    /// The chunk's queries are sorted by `(t, k)` and each same-`(t, k)`
+    /// run, a one-query run included, is answered with one
+    /// [`Reachability::query_group`] call, so per-target work (candidate
+    /// translation, Case-4 scratch bitsets, lock acquisition, shared-row
+    /// verdicts) is paid once per run instead of once per query. Traced or
+    /// not, this is the one dispatch path; a live recorder adds one
+    /// `engine.group` span per run under the submitting thread's trace.
+    ///
+    /// Group observation bookkeeping: each member is tallied to its own
+    /// Algorithm-2 case (via the backend's O(1) classifier, or the group's
+    /// own observation for a one-query group) under the group's
+    /// resolution, probe totals are attributed to the group's first member
+    /// (they are totals, not per-query), and each member records the
+    /// group's mean latency — so the class counts still sum to the served
+    /// query count and latency sums stay honest. Only runs of two or more
+    /// count as batched (`engine.grouped_share`).
     fn answer_chunk(
         &self,
         start: usize,
         end: usize,
         scratch: &mut WorkerScratch,
     ) -> (LatencyHistogram, CaseTally) {
+        let queries = &self.queries[start..end];
         scratch.answers.clear();
-        scratch.answers.resize(end - start, false);
+        scratch.answers.resize(queries.len(), false);
         let mut latencies = LatencyHistogram::new();
         let mut tally = CaseTally::new();
-        if self.recorder.is_enabled() {
-            self.answer_chunk_traced(start, end, scratch, &mut latencies, &mut tally);
-        } else {
-            self.answer_chunk_grouped(start, end, scratch, &mut latencies, &mut tally);
-        }
-        (latencies, tally)
-    }
-
-    /// The traced per-query loop: compute, observe and span each query in
-    /// order.
-    fn answer_chunk_traced(
-        &self,
-        start: usize,
-        end: usize,
-        scratch: &mut WorkerScratch,
-        latencies: &mut LatencyHistogram,
-        tally: &mut CaseTally,
-    ) {
-        for (i, query) in self.queries[start..end].iter().enumerate() {
-            let mut span = self.recorder.span_in(self.context, "engine.query");
-            let started = Instant::now();
-            let mark = ProbeMark::begin();
-            let answer = self.backend.query(query.s, query.t, query.k);
-            let obs = mark.observe();
-            let nanos = started.elapsed().as_nanos() as u64;
-            latencies.record(nanos);
-            tally.observe(&obs, nanos);
-            span.note(format!(
-                "s={} t={} k={} case={} resolution={} answer={}",
-                query.s.0,
-                query.t.0,
-                query.k,
-                obs.case,
-                obs.resolution.label(),
-                answer
-            ));
-            scratch.answers[i] = answer;
-        }
-    }
-
-    /// Target-grouped dispatch: the chunk's queries are sorted by `(t, k)`
-    /// and each group of two or more is answered with one
-    /// [`Reachability::query_group`] call, so per-target work (candidate
-    /// translation, Case-4 scratch bitsets, lock acquisition, shared-row
-    /// verdicts) is paid once per group instead of once per query.
-    /// Singleton groups take the exact per-query path. Answers are
-    /// byte-identical to the per-query loop; only the dispatch shape
-    /// differs.
-    ///
-    /// Group observation bookkeeping: each member is tallied to its own
-    /// Algorithm-2 case (via the backend's O(1) classifier) under the
-    /// group's resolution, probe totals are attributed to the group's first
-    /// member (they are totals, not per-query), and each member records the
-    /// group's mean latency — so the class counts still sum to the served
-    /// query count and latency sums stay honest.
-    fn answer_chunk_grouped(
-        &self,
-        start: usize,
-        end: usize,
-        scratch: &mut WorkerScratch,
-        latencies: &mut LatencyHistogram,
-        tally: &mut CaseTally,
-    ) {
-        let queries = &self.queries[start..end];
         scratch.order.clear();
         scratch.order.extend(0..queries.len() as u32);
         // Sort by (t, k, s): groups become contiguous and duplicate sources
@@ -272,47 +224,60 @@ impl BatchTask {
             }
             let group = &scratch.order[at..group_end];
             at = group_end;
-            if group.len() == 1 {
-                let i = group[0] as usize;
-                let query = &queries[i];
-                let started = Instant::now();
-                let mark = ProbeMark::begin();
-                let computed = self.backend.query(query.s, query.t, query.k);
-                let nanos = started.elapsed().as_nanos() as u64;
-                latencies.record(nanos);
-                tally.observe(&mark.observe(), nanos);
-                scratch.answers[i] = computed;
-                continue;
-            }
             scratch.group_sources.clear();
             scratch
                 .group_sources
                 .extend(group.iter().map(|&i| queries[i as usize].s));
             scratch.group_answers.clear();
             scratch.group_answers.resize(group.len(), false);
-            let started = Instant::now();
+            // The span's clock times the group whether or not it records.
+            let mut span = self.recorder.span_in(self.context, "engine.group");
             let mark = ProbeMark::begin();
             self.backend
                 .query_group(&scratch.group_sources, t, k, &mut scratch.group_answers);
             let group_obs = mark.observe();
-            let mean_nanos = started.elapsed().as_nanos() as u64 / group.len() as u64;
-            tally.note_batched_group(group.len() as u64);
+            let mean_nanos = span.elapsed_nanos() / group.len() as u64;
+            if group.len() > 1 {
+                tally.note_batched_group(group.len() as u64);
+            }
+            let mut classes = [0u32; CLASSES];
             for (j, &i) in group.iter().enumerate() {
                 let query = &queries[i as usize];
                 scratch.answers[i as usize] = scratch.group_answers[j];
-                let obs = QueryObservation {
-                    case: self
+                // A one-query group's own observation already names its
+                // case; asking the backend again would cost durable serving
+                // a second state lock per query.
+                let case = match group {
+                    [_] => group_obs.case,
+                    _ => self
                         .backend
                         .case_of(query.s, query.t, query.k)
                         .unwrap_or(group_obs.case),
+                };
+                let obs = QueryObservation {
+                    case,
                     resolution: group_obs.resolution,
                     dense_probes: if j == 0 { group_obs.dense_probes } else { 0 },
                     sparse_gallops: if j == 0 { group_obs.sparse_gallops } else { 0 },
                 };
+                classes[obs.class_index()] += 1;
                 latencies.record(mean_nanos);
                 tally.observe(&obs, mean_nanos);
             }
+            if span.is_recording() {
+                span.note(format!(
+                    "t={} k={k} size={} case1={} case2={} case3={} case4={} resolution={}",
+                    t.0,
+                    group.len(),
+                    classes[0],
+                    classes[1],
+                    classes[2],
+                    classes[3],
+                    group_obs.resolution.label()
+                ));
+            }
         }
+        (latencies, tally)
     }
 
     /// Blocks until every chunk is written back, then takes the results.

@@ -176,10 +176,7 @@ pub fn and_any_scalar(a: &[u64], b: &[u64]) -> bool {
 /// scratch): it processes [`KERNEL_LANES`] words per iteration with a single
 /// combined zero test, a shape the autovectorizer lowers to 256-bit loads and
 /// ANDs on targets that have them, falling back to [`and_any_scalar`] for the
-/// tail. Building with the `scalar-kernels` feature forces the scalar loop
-/// everywhere (for A/B measurement and for targets where the wide shape
-/// pessimizes).
-#[cfg(not(feature = "scalar-kernels"))]
+/// tail.
 #[inline]
 pub fn and_any(a: &[u64], b: &[u64]) -> bool {
     let n = a.len().min(b.len());
@@ -192,13 +189,6 @@ pub fn and_any(a: &[u64], b: &[u64]) -> bool {
         }
     }
     and_any_scalar(ca.remainder(), cb.remainder())
-}
-
-/// Scalar build of [`and_any`] (the `scalar-kernels` feature is on).
-#[cfg(feature = "scalar-kernels")]
-#[inline]
-pub fn and_any(a: &[u64], b: &[u64]) -> bool {
-    and_any_scalar(a, b)
 }
 
 #[cfg(test)]

@@ -33,21 +33,6 @@ pub fn gallop_lower_bound(s: &[u32], from: usize, x: u32) -> usize {
     lo + 1 + s[lo + 1..hi].partition_point(|&v| v < x)
 }
 
-/// True if two sorted id slices share any element (galloping merge, so a
-/// tiny list against a huge one costs roughly `|tiny| · log |huge|`).
-pub fn sorted_any_common(a: &[u32], b: &[u32]) -> bool {
-    kreach_obs::observe::note_sparse_gallop();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Equal => return true,
-            std::cmp::Ordering::Less => i = gallop_lower_bound(a, i + 1, b[j]),
-            std::cmp::Ordering::Greater => j = gallop_lower_bound(b, j + 1, a[i]),
-        }
-    }
-    false
-}
-
 /// Binary membership test in a sorted id slice.
 #[inline]
 pub fn sorted_contains(s: &[u32], x: u32) -> bool {
@@ -69,8 +54,6 @@ pub fn scan_find_scalar(s: &[u32], x: u32) -> Option<usize> {
 /// 256-bit compare shape), and only a hit re-scans the chunk for the exact
 /// lane. For the short sorted rows the index holds (tens of entries), this
 /// beats a binary search's unpredictable branches; callers switch on length.
-/// The `scalar-kernels` feature forces the scalar loop.
-#[cfg(not(feature = "scalar-kernels"))]
 #[inline]
 pub fn scan_find(s: &[u32], x: u32) -> Option<usize> {
     let mut chunks = s.chunks_exact(SCAN_LANES);
@@ -92,13 +75,6 @@ pub fn scan_find(s: &[u32], x: u32) -> Option<usize> {
     scan_find_scalar(chunks.remainder(), x).map(|i| base + i)
 }
 
-/// Scalar build of [`scan_find`] (the `scalar-kernels` feature is on).
-#[cfg(feature = "scalar-kernels")]
-#[inline]
-pub fn scan_find(s: &[u32], x: u32) -> Option<usize> {
-    scan_find_scalar(s, x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,27 +91,6 @@ mod tests {
                     "from={from} x={x}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn any_common_agrees_with_naive_on_random_slices() {
-        let mut state = 0x9E3779B97F4A7C15u64;
-        let mut next = move |m: u32| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((state >> 33) as u32) % m
-        };
-        for round in 0..200 {
-            let la = (next(40) + 1) as usize;
-            let lb = (next(40) + 1) as usize;
-            let mut a: Vec<u32> = (0..la).map(|_| next(60)).collect();
-            let mut b: Vec<u32> = (0..lb).map(|_| next(60)).collect();
-            a.sort_unstable();
-            a.dedup();
-            b.sort_unstable();
-            b.dedup();
-            let naive = a.iter().any(|x| b.contains(x));
-            assert_eq!(sorted_any_common(&a, &b), naive, "round {round}");
         }
     }
 
@@ -164,10 +119,6 @@ mod tests {
     #[test]
     fn skewed_sizes_and_edges() {
         let huge: Vec<u32> = (0..10_000).map(|i| i * 2).collect();
-        assert!(sorted_any_common(&huge, &[9_998]));
-        assert!(!sorted_any_common(&huge, &[9_999]));
-        assert!(!sorted_any_common(&huge, &[]));
-        assert!(!sorted_any_common(&[], &huge));
         assert!(sorted_contains(&huge, 1_000));
         assert!(!sorted_contains(&huge, 1_001));
     }

@@ -34,10 +34,11 @@ use std::time::Instant;
 pub struct SpanRecord {
     /// The trace this span belongs to.
     pub trace_id: u64,
-    /// Static span name (`server.request`, `engine.query`, ...).
+    /// Static span name (`server.request`, `engine.group`, ...).
     pub name: &'static str,
-    /// Free-form detail attached via [`SpanGuard::note`] (query endpoints,
-    /// case/resolution, status codes); empty when none was attached.
+    /// Free-form detail attached via [`SpanGuard::note`] (group target,
+    /// case counts and resolution, status codes); empty when none was
+    /// attached.
     pub detail: String,
     /// Nesting depth inside the trace (root = 0).
     pub depth: u32,
@@ -356,9 +357,9 @@ impl Trace {
     ///
     /// ```text
     /// trace 17 · 142.3µs
-    ///   server.request · 142.3µs · GET /reach 200
-    ///     engine.query · 121.9µs · s=5 t=921 k=3
-    ///       backend.query · 119.0µs · case=4 resolution=dense_bitset
+    ///   server.request · 142.3µs · GET /reach status=200
+    ///     engine.batch · 124.0µs · backend=k-reach queries=1
+    ///       engine.group · 119.0µs · t=921 k=3 size=1 case1=0 case2=0 case3=0 case4=1 resolution=dense_bitset
     /// ```
     pub fn render_tree(&self) -> String {
         let mut out = format!(

@@ -637,7 +637,7 @@ fn serve_http_request(
     );
 
     // The request span is the trace root: the engine's own spans
-    // (engine.batch → engine.query → backend probes) nest under it because
+    // (engine.batch → engine.group → backend probes) nest under it because
     // `shared.recorder` is the engine's recorder.
     let mut span = shared.recorder.span("server.request");
     let trace_id = span.trace_id();
@@ -1240,12 +1240,12 @@ fn metrics_text(shared: &Arc<Shared>) -> String {
     );
     text.counter(
         "kreach_engine_batched_queries_total",
-        "Queries answered through the target-grouped batched kernel.",
+        "Queries answered in target groups of two or more.",
         tally.batched_queries(),
     );
     text.counter(
         "kreach_engine_batched_groups_total",
-        "Target groups dispatched through the batched kernel.",
+        "Target groups of two or more queries.",
         tally.batched_groups(),
     );
 
@@ -2251,7 +2251,7 @@ mod tests {
         assert!(json.trim_end().starts_with('['), "{json}");
         assert!(json.contains("\"op\":\"GET /reach\""), "{json}");
         assert!(json.contains("server.request"), "{json}");
-        assert!(json.contains("engine.query"), "{json}");
+        assert!(json.contains("engine.group"), "{json}");
         // The handle-side dump sees the same ring (plus the /stats request
         // itself, which also crossed the threshold by now).
         assert!(server.slow_log_json().contains("\"op\":\"GET /reach\""));

@@ -15,8 +15,9 @@
 //!    exactly the oracle edge set, and (b) incremental == rebuilt == BFS on
 //!    a query sample after every step.
 //! 2. Engine-level replays — the same discipline through [`BatchEngine`]
-//!    at 1 and 8 workers, which proves that the grouped dispatch path reads
-//!    the post-mutation index (a stale answer would differ from BFS).
+//!    at 1 and 8 workers, with batches that span several engine chunks,
+//!    which proves that the grouped dispatch path reads the post-mutation
+//!    index (a stale answer would differ from BFS).
 //! 3. Storage-backend equivalence — a property test asserting the frozen
 //!    CSR and the [`VersionedAdjGraph`] `GraphView` implementations answer
 //!    identical adjacency and reachability questions under random mutation
@@ -255,14 +256,15 @@ fn engine_replay(workers: usize, k: u32, seed: u64, steps: usize) {
         Arc::clone(&backend) as Arc<dyn kreach_engine::Reachability>,
         EngineConfig {
             workers,
-            chunk_size: 8,
             ..EngineConfig::default()
         },
     );
 
     for step in 0..steps {
-        // Answer a fixed probe set before the mutation.
-        let probes = sample_pairs(&mut rng, oracle.n, 24);
+        // Answer a fixed probe set before the mutation. It spans several
+        // engine chunks, so at 8 workers the post-mutation batch is
+        // answered by workers concurrently.
+        let probes = sample_pairs(&mut rng, oracle.n, 600);
         let batch = QueryBatch::new(probes.iter().map(|&(s, t)| Query { s, t, k }).collect());
         engine.run(&batch).expect("probe batch in range");
 
@@ -566,7 +568,7 @@ proptest! {
                 ));
                 let engine = BatchEngine::new(
                     Arc::clone(&backend) as Arc<dyn kreach_engine::Reachability>,
-                    EngineConfig { workers, chunk_size: 4, ..EngineConfig::default() },
+                    EngineConfig { workers, ..EngineConfig::default() },
                 );
                 for &(kind, (a, b)) in &ops {
                     let (s, t) = (VertexId(a), VertexId(b));

@@ -194,7 +194,10 @@ proptest! {
                 queries.push(Query { s, t, k });
             }
         }
-        let batch = QueryBatch::new(queries);
+        // Repeat the all-pairs list so even the smallest graph sends a batch
+        // that spans several engine chunks (256 queries each).
+        let all_pairs = queries.len();
+        let batch = QueryBatch::new(queries.into_iter().cycle().take(all_pairs.max(600)).collect());
         let sequential: Vec<bool> =
             batch.queries().iter().map(|q| index.query(&g, q.s, q.t)).collect();
         for (q, &answer) in batch.queries().iter().zip(sequential.iter()) {
@@ -202,7 +205,7 @@ proptest! {
         }
 
         for workers in [1usize, 2, 8] {
-            let config = EngineConfig { workers, chunk_size: 32, ..EngineConfig::default() };
+            let config = EngineConfig { workers, ..EngineConfig::default() };
             let engine = BatchEngine::new(
                 Arc::new(KReachBackend::new(Arc::clone(&g), index.clone())),
                 config,
