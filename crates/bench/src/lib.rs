@@ -14,7 +14,6 @@
 //! | Table 8 | `table8` | query-case distribution of the random workload |
 //! | Table 9 | `table9` | vertex cover vs 2-hop cover, µ-reach vs (2,µ)-reach |
 //! | §4.3 / §4.4 | `ablation_cover`, `ablation_general_k` | design-choice ablations |
-//! | — (serving) | `serve_throughput` | batch-engine queries/sec per worker count |
 //!
 //! All binaries accept `--scale F` (divide dataset sizes by `F`),
 //! `--queries N` (workload size), `--datasets a,b,c` (subset by name) and
@@ -25,11 +24,9 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod serve;
 pub mod suite;
 pub mod table;
 
 pub use config::BenchConfig;
-pub use serve::{serve_sweep, SweepPoint};
 pub use suite::{IndexReport, NReachAdapter};
 pub use table::Table;

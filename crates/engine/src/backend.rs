@@ -5,7 +5,7 @@
 //! fallback, or the incrementally maintained [`DynamicKReachBackend`], the
 //! only one that accepts graph mutations ([`Reachability::apply_updates`]).
 //! Backends own their graph (directly or behind a lock) so the trait objects
-//! are `'static` and can be shared across pool workers.
+//! are `'static` and can be shared by every thread that calls the engine.
 //!
 //! The index-serving backends are generic over the [`GraphView`] storage
 //! backend — a frozen CSR [`DiGraph`] for static serving, or a
@@ -171,18 +171,6 @@ pub trait Reachability: Send + Sync {
         let _ = (u, v);
         None
     }
-
-    /// The Algorithm-2 case (1–4) this backend *would* execute for the
-    /// query, or `None` when the notion does not apply (index-free backends,
-    /// or a hop bound the index answers by online fallback). An O(1) cover
-    /// membership classification — the engine uses it to attribute each
-    /// member of a target-grouped dispatch to its own case, so the per-case
-    /// query counters on `/metrics` sum to the total query count. The
-    /// default reports `None`.
-    fn case_of(&self, s: VertexId, t: VertexId, k: u32) -> Option<u8> {
-        let _ = (s, t, k);
-        None
-    }
 }
 
 /// Serves a [`KReachIndex`] (§4 of the paper) over any storage backend.
@@ -231,10 +219,6 @@ impl<G: GraphView + 'static> Reachability for KReachBackend<G> {
 
     fn accel_bytes(&self) -> usize {
         self.index.accel_size_bytes()
-    }
-
-    fn case_of(&self, s: VertexId, t: VertexId, k: u32) -> Option<u8> {
-        (k == self.index.k()).then(|| self.index.classify(s, t).number())
     }
 }
 
@@ -317,7 +301,7 @@ impl<G: GraphView + 'static> Reachability for BfsBackend<G> {
 /// Serves an incrementally maintained [`DynamicKReach`] and accepts graph
 /// mutations through [`Reachability::apply_updates`].
 ///
-/// Queries take a read lock (shared across pool workers) and run the
+/// Queries take a read lock (shared across concurrent callers) and run the
 /// maintained [`KReachIndex`] exactly as [`KReachBackend`] runs a static
 /// one; updates take the write lock and patch that index in place, so
 /// readers never observe a half-updated index.
@@ -406,15 +390,9 @@ impl Reachability for DynamicKReachBackend {
             epoch: 0,
         })
     }
-
-    fn case_of(&self, s: VertexId, t: VertexId, k: u32) -> Option<u8> {
-        let state = self.read();
-        let index = state.index();
-        (k == index.k()).then(|| index.classify(s, t).number())
-    }
 }
 
-// Every backend must be shareable as Arc<dyn Reachability> across workers,
+// Every backend must be shareable as Arc<dyn Reachability> across threads,
 // over either storage backend.
 const _: fn() = || {
     fn assert_backend<T: Reachability + 'static>() {}

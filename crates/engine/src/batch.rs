@@ -1,7 +1,6 @@
 //! Query batches: the unit of work the engine executes.
 
 use kreach_graph::VertexId;
-use std::sync::Arc;
 
 /// One k-hop reachability question: is there a path `s →k t`?
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -15,21 +14,16 @@ pub struct Query {
 }
 
 /// An ordered list of queries; the engine's answers come back in the same
-/// order regardless of worker count.
-///
-/// The list is held behind an [`Arc`], so cloning a batch and fanning it out
-/// to pool workers are refcount bumps, not copies of the query vector.
+/// order.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct QueryBatch {
-    queries: Arc<Vec<Query>>,
+    queries: Vec<Query>,
 }
 
 impl QueryBatch {
     /// Wraps an explicit query list.
     pub fn new(queries: Vec<Query>) -> Self {
-        QueryBatch {
-            queries: Arc::new(queries),
-        }
+        QueryBatch { queries }
     }
 
     /// Builds a batch from `(s, t)` pairs sharing one hop bound (the shape
@@ -70,11 +64,6 @@ impl QueryBatch {
             .iter()
             .zip(answers.iter())
             .map(|(q, &answer)| (q.s, q.t, q.k, answer))
-    }
-
-    /// The shared query list, for zero-copy fan-out to workers.
-    pub(crate) fn shared_queries(&self) -> Arc<Vec<Query>> {
-        Arc::clone(&self.queries)
     }
 
     /// Number of queries.

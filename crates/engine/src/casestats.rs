@@ -4,9 +4,10 @@
 //! [`CLASSES`] classes — Algorithm-2 cases 1–4, BFS fallback, or unknown —
 //! plus a [`Resolution`](kreach_obs::observe::Resolution) saying *how* the
 //! answer was produced (dense bitset probe, sparse galloping merge, BFS,
-//! other). Workers accumulate a [`CaseTally`] per chunk and merge it into
-//! shared totals under the same lock that already guards chunk write-back,
-//! so the hot path never takes an extra lock per query.
+//! other). The engine tallies each target group from one
+//! [`QueryObservation`] into a per-batch [`CaseTally`] and merges that
+//! into its lifetime totals once per batch, so the hot path never takes a
+//! lock per query.
 //!
 //! The invariant consumers rely on (and `GET /metrics` exposes): the class
 //! counts always sum to the number of served queries.
@@ -49,13 +50,16 @@ impl CaseTally {
         }
     }
 
-    /// Records one served query: its class, latency, resolution, and probe
-    /// counts.
-    pub fn observe(&mut self, obs: &QueryObservation, nanos: u64) {
-        let class = obs.class_index();
-        self.counts[class] += 1;
-        self.hists[class].record(nanos);
-        self.resolutions[obs.resolution.index()] += 1;
+    /// Records `queries` served queries answered by one backend call: each
+    /// under its class ([`QueryObservation::class_counts`]) with latency
+    /// `nanos`, all under the call's resolution, and the call's probe
+    /// counts once.
+    pub fn observe(&mut self, obs: &QueryObservation, queries: u64, nanos: u64) {
+        for (class, n) in obs.class_counts(queries).into_iter().enumerate() {
+            self.counts[class] += n;
+            self.hists[class].record_n(nanos, n);
+        }
+        self.resolutions[obs.resolution.index()] += queries;
         self.dense_probes += obs.dense_probes;
         self.sparse_gallops += obs.sparse_gallops;
     }
@@ -160,36 +164,45 @@ impl CaseTally {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kreach_obs::observe::Resolution;
+    use kreach_obs::observe::{Resolution, CASES};
 
-    fn obs(case: u8, resolution: Resolution, dense: u64, sparse: u64) -> QueryObservation {
+    /// One backend call that noted `case` (1–4) for every query, or no case
+    /// at all for `case == 0`.
+    fn obs(case: u8, queries: u64, resolution: Resolution, dense: u64) -> QueryObservation {
+        let mut cases = [0; CASES];
+        if case > 0 {
+            cases[case as usize - 1] = queries;
+        }
         QueryObservation {
-            case,
+            cases,
             resolution,
             dense_probes: dense,
-            sparse_gallops: sparse,
+            sparse_gallops: queries % 3,
         }
     }
 
     #[test]
     fn tally_sums_match_total_across_classes_and_resolutions() {
         let mut t = CaseTally::new();
-        t.observe(&obs(1, Resolution::DenseBitset, 3, 0), 100);
-        t.observe(&obs(2, Resolution::SparseGallop, 0, 2), 200);
-        t.observe(&obs(4, Resolution::DenseBitset, 1, 1), 300);
-        t.observe(&obs(1, Resolution::Other, 0, 0), 50);
-        t.observe(&obs(0, Resolution::BfsFallback, 0, 0), 5_000);
-        assert_eq!(t.total(), 5);
-        assert_eq!(t.counts().iter().sum::<u64>(), 5);
-        assert_eq!(t.resolutions().iter().sum::<u64>(), 5);
+        t.observe(&obs(1, 1, Resolution::DenseBitset, 3), 1, 100);
+        t.observe(&obs(2, 2, Resolution::SparseGallop, 0), 2, 200);
+        t.observe(&obs(4, 1, Resolution::DenseBitset, 1), 1, 300);
+        t.observe(&obs(1, 1, Resolution::Other, 0), 1, 50);
+        t.observe(&obs(0, 1, Resolution::BfsFallback, 0), 1, 5_000);
+        assert_eq!(t.total(), 6);
+        assert_eq!(t.counts().iter().sum::<u64>(), 6);
+        assert_eq!(t.resolutions().iter().sum::<u64>(), 6);
         // A case-attributed query without probes counts under case1, not
         // unknown.
         assert_eq!(t.counts()[0], 2);
+        assert_eq!(t.counts()[1], 2);
+        assert_eq!(t.counts()[4], 1, "bfs fallback");
         assert_eq!(t.dense_probes(), 4);
-        assert_eq!(t.sparse_gallops(), 3);
+        assert_eq!(t.sparse_gallops(), 6);
         // Histogram counts line up with class counts.
         let hist_total: u64 = t.histograms().iter().map(|h| h.count()).sum();
-        assert_eq!(hist_total, 5);
+        assert_eq!(hist_total, 6);
+        assert_eq!(t.histograms()[1].sum_nanos(), 400);
     }
 
     #[test]
@@ -198,21 +211,22 @@ mod tests {
         let mut b = CaseTally::new();
         let mut combined = CaseTally::new();
         for i in 0..100u64 {
-            let o = obs((i % 4 + 1) as u8, Resolution::SparseGallop, 0, i % 3);
+            let queries = i % 4 + 1;
+            let o = obs((i % 5) as u8, queries, Resolution::SparseGallop, i % 2);
             let nanos = i * 17;
             if i % 2 == 0 {
-                a.observe(&o, nanos);
+                a.observe(&o, queries, nanos);
             } else {
-                b.observe(&o, nanos);
+                b.observe(&o, queries, nanos);
             }
-            combined.observe(&o, nanos);
+            combined.observe(&o, queries, nanos);
         }
         a.merge(&b);
         assert_eq!(a.counts(), combined.counts());
         assert_eq!(a.resolutions(), combined.resolutions());
         assert_eq!(a.dense_probes(), combined.dense_probes());
         assert_eq!(a.sparse_gallops(), combined.sparse_gallops());
-        assert_eq!(a.total(), 100);
+        assert_eq!(a.total(), 250);
         for (ha, hc) in a.histograms().iter().zip(combined.histograms().iter()) {
             assert_eq!(ha.count(), hc.count());
             assert_eq!(ha.sum_nanos(), hc.sum_nanos());
@@ -229,7 +243,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.batched_groups(), 3);
         assert_eq!(a.batched_queries(), 10);
-        // Grouping is bookkeeping about *how* misses were dispatched; the
+        // Grouping is bookkeeping about *how* queries were dispatched; the
         // class-sum invariant is carried by observe() alone.
         assert_eq!(a.total(), 0);
     }
@@ -237,7 +251,7 @@ mod tests {
     #[test]
     fn rows_skip_empty_classes() {
         let mut t = CaseTally::new();
-        t.observe(&obs(3, Resolution::DenseBitset, 1, 0), 10);
+        t.observe(&obs(3, 1, Resolution::DenseBitset, 1), 1, 10);
         assert_eq!(t.class_rows(), vec![("case3", 1)]);
         assert_eq!(t.resolution_rows(), vec![("dense_bitset", 1)]);
         let empty = CaseTally::new();

@@ -1,31 +1,30 @@
-//! The batch engine: publishes a [`QueryBatch`] as one shared chunk-claiming
-//! task on the worker pool and reassembles answers in batch order with
-//! serving statistics. Dispatch costs `O(workers)` channel operations per
-//! batch — workers claim chunks from an atomic cursor and write each chunk's
-//! answers back in a single locked copy (see the `pool` module).
+//! The batch engine: answers a [`QueryBatch`] on the calling thread and
+//! reports answers in batch order with serving statistics.
+//!
+//! There is one dispatch path, traced or not: the batch is sorted by
+//! `(t, k, s)` and each same-`(t, k)` run is one
+//! [`Reachability::query_group`] call, so per-target work is paid once per
+//! run. A live recorder adds one `engine.group` span per run, nested under
+//! the caller's trace; it never changes which kernel answers. Concurrency
+//! comes from the callers: the server's connection handlers each run their
+//! own requests, and the backend is shared between them.
 
 use crate::backend::{Reachability, UpdateError, UpdateOutcome};
-use crate::batch::QueryBatch;
+use crate::batch::{Query, QueryBatch};
 use crate::casestats::CaseTally;
 use crate::histogram::LatencyHistogram;
-use crate::pool::{BatchTask, WorkerPool};
 use kreach_core::dynamic::UpdateStats;
-use kreach_graph::EdgeUpdate;
-use kreach_obs::observe::{CLASSES, CLASS_LABELS, RESOLUTIONS, RESOLUTION_LABELS};
+use kreach_graph::{EdgeUpdate, VertexId};
+use kreach_obs::observe::{ProbeMark, CLASSES, CLASS_LABELS, RESOLUTIONS, RESOLUTION_LABELS};
 use kreach_obs::{FlightRecorder, Recorder, WindowStats};
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Queries per claimed chunk. Small enough to balance load, large enough
-/// that the per-chunk write-back lock is negligible next to query work.
-const CHUNK_SIZE: usize = 256;
-
 /// Engine tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Worker threads; `0` uses the number of available CPUs.
-    pub workers: usize,
     /// Largest vertex set a mutation batch may grow the graph to. Vertex
     /// growth allocates per-vertex adjacency state, so one hostile update
     /// line (`+ 0 4294967295`) would otherwise commit gigabytes before the
@@ -38,22 +37,27 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            workers: 0,
             max_vertices: 1 << 24,
         }
     }
 }
 
-impl EngineConfig {
-    fn effective_workers(&self) -> usize {
-        if self.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        } else {
-            self.workers
-        }
-    }
+/// Reusable per-thread buffers for answering a batch. After the first few
+/// batches on a thread they reach their high-water size, so a warmed batch
+/// allocates nothing (asserted by the counting-allocator integration test).
+#[derive(Default)]
+struct Scratch {
+    /// Batch indices of the queries, sorted by `(t, k, s)` for target
+    /// grouping.
+    order: Vec<u32>,
+    /// Sources of the target group currently being dispatched.
+    group_sources: Vec<VertexId>,
+    /// Answers of the target group currently being dispatched.
+    group_answers: Vec<bool>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
 }
 
 /// A batch run failed before any query executed.
@@ -92,8 +96,6 @@ impl std::error::Error for EngineError {}
 pub struct EngineStats {
     /// Backend that answered the batch.
     pub backend: &'static str,
-    /// Worker threads in the pool.
-    pub workers: usize,
     /// Queries answered.
     pub queries: usize,
     /// Wall-clock time for the whole batch, in seconds.
@@ -132,13 +134,12 @@ impl EngineStats {
     pub fn to_json(&self) -> String {
         format!(
             concat!(
-                "{{\"backend\":\"{}\",\"workers\":{},\"queries\":{},",
+                "{{\"backend\":\"{}\",\"queries\":{},",
                 "\"elapsed_secs\":{:.6},\"queries_per_sec\":{:.1},",
                 "\"p50_micros\":{:.3},\"p99_micros\":{:.3},\"mean_micros\":{:.3},",
                 "\"cases\":{},\"resolutions\":{}}}"
             ),
             self.backend,
-            self.workers,
             self.queries,
             self.elapsed_secs,
             self.queries_per_sec,
@@ -155,9 +156,8 @@ impl std::fmt::Display for EngineStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} · {} workers · {} queries in {:.3}s ({:.0} q/s) · p50 {:.1}µs p99 {:.1}µs",
+            "{} · {} queries in {:.3}s ({:.0} q/s) · p50 {:.1}µs p99 {:.1}µs",
             self.backend,
-            self.workers,
             self.queries,
             self.elapsed_secs,
             self.queries_per_sec,
@@ -197,8 +197,6 @@ pub struct BatchOutcome {
 pub struct EngineInfo {
     /// Backend name.
     pub backend: &'static str,
-    /// Worker threads in the pool.
-    pub workers: usize,
     /// Vertex count of the served graph (may grow under mutations).
     pub vertex_count: usize,
     /// The backend's preferred hop bound.
@@ -262,21 +260,20 @@ pub struct DegradedInfo {
     pub probes: u64,
 }
 
-/// The concurrent batch query engine.
+/// The batch query engine.
 ///
-/// Construction spawns the worker pool; [`BatchEngine::run`] then executes
-/// any number of batches against the shared backend, reusing the pool
-/// across batches.
+/// [`BatchEngine::run`] answers a batch on the calling thread against the
+/// shared backend; any number of threads may call it at once on one
+/// engine.
 pub struct BatchEngine {
     backend: Arc<dyn Reachability>,
-    pool: WorkerPool,
     max_vertices: usize,
     /// Mutation epoch: one bump per applied update batch. It stamps WAL
     /// records, `/healthz` and update echoes, and survives restarts through
     /// [`BatchEngine::restore_epoch`].
     epoch: AtomicU64,
-    /// Tracing handle threaded into every batch task; the disabled recorder
-    /// in the common untraced case.
+    /// Tracing handle for batch, group and update spans; the disabled
+    /// recorder in the common untraced case.
     recorder: Recorder,
     /// Lifetime per-case totals across every served batch.
     totals: Mutex<CaseTally>,
@@ -324,7 +321,6 @@ impl BatchEngine {
     ) -> Self {
         BatchEngine {
             backend,
-            pool: WorkerPool::new(config.effective_workers()),
             max_vertices: config.max_vertices.max(1),
             epoch: AtomicU64::new(0),
             recorder,
@@ -342,11 +338,6 @@ impl BatchEngine {
     /// Builds an engine with default configuration.
     pub fn with_defaults(backend: Arc<dyn Reachability>) -> Self {
         Self::new(backend, EngineConfig::default())
-    }
-
-    /// Number of pool workers.
-    pub fn workers(&self) -> usize {
-        self.pool.workers()
     }
 
     /// The served backend.
@@ -422,18 +413,13 @@ impl BatchEngine {
         self.epoch.store(epoch, Ordering::Relaxed);
     }
 
-    /// Snapshot of the engine's cumulative serving state (backend, workers,
-    /// epoch, per-case totals) — run-independent, for live `/stats`-style
+    /// Snapshot of the engine's cumulative serving state (backend, epoch,
+    /// per-case totals) — run-independent, for live `/stats`-style
     /// reporting by a network front end.
-    ///
-    /// Dropping the engine is the drain hook: in-flight [`BatchEngine::run`]
-    /// calls are synchronous, so once every caller has returned, dropping
-    /// the engine joins the worker pool with nothing left in flight.
     pub fn info(&self) -> EngineInfo {
         let totals = self.totals.lock().expect("case totals poisoned");
         EngineInfo {
             backend: self.backend.name(),
-            workers: self.pool.workers(),
             vertex_count: self.backend.vertex_count(),
             default_k: self.backend.default_k(),
             epoch: self.epoch(),
@@ -715,10 +701,15 @@ impl BatchEngine {
         Ok(outcome)
     }
 
-    /// Executes a batch, returning answers in batch order.
+    /// Executes a batch on the calling thread, returning answers in batch
+    /// order.
     ///
     /// Answers are deterministic: for a fixed backend and batch, the answer
-    /// vector is identical for every worker count, traced or not.
+    /// vector is identical traced or not, and whichever threads call.
+    ///
+    /// # Panics
+    /// Propagates a panic of the backend. The batch then has no answers,
+    /// and the engine stays usable for the next one.
     pub fn run(&self, batch: &QueryBatch) -> Result<BatchOutcome, EngineError> {
         let mut answers = Vec::new();
         let (stats, tally) = self.run_into(batch, &mut answers)?;
@@ -741,8 +732,9 @@ impl BatchEngine {
         batch: &QueryBatch,
         answers: &mut Vec<bool>,
     ) -> Result<(EngineStats, CaseTally), EngineError> {
+        let queries = batch.queries();
         let n = self.backend.vertex_count();
-        for (i, q) in batch.queries().iter().enumerate() {
+        for (i, q) in queries.iter().enumerate() {
             let bad = if q.s.index() >= n {
                 Some(q.s.0)
             } else if q.t.index() >= n {
@@ -759,34 +751,20 @@ impl BatchEngine {
             }
         }
 
-        let total = batch.len();
         let started = Instant::now();
         // The batch span nests under the caller's active trace (a server
-        // request) when one exists; worker spans attach below it via the
-        // context captured inside `BatchTask::new`.
+        // request) when one exists, and the group spans nest under it.
         let mut span = self.recorder.span("engine.batch");
-        let (latencies, tally) = if total > 0 {
-            // One shared task; each worker gets a handle and claims chunks
-            // off the atomic cursor, writing back once per chunk. The
-            // caller's answer buffer is loaned to the task and reclaimed
-            // from wait(), so steady-state serving reuses one allocation.
-            let task = Arc::new(BatchTask::new(
-                batch.shared_queries(),
-                Arc::clone(&self.backend),
-                CHUNK_SIZE,
-                self.recorder.clone(),
-                std::mem::take(answers),
-            ));
-            self.pool.dispatch(&task);
-            let (filled, latencies, tally) = task.wait();
-            *answers = filled;
-            (latencies, tally)
-        } else {
-            answers.clear();
-            (LatencyHistogram::new(), CaseTally::new())
-        };
+        answers.clear();
+        answers.resize(queries.len(), false);
+        let tally =
+            SCRATCH.with(|cell| self.answer_groups(queries, answers, &mut cell.borrow_mut()));
         if span.is_recording() {
-            span.note(format!("backend={} queries={total}", self.backend.name()));
+            span.note(format!(
+                "backend={} queries={}",
+                self.backend.name(),
+                queries.len()
+            ));
         }
         drop(span);
         self.totals
@@ -804,13 +782,16 @@ impl BatchEngine {
                 tally.feed_window(w);
             }
         }
+        let mut latencies = LatencyHistogram::new();
+        for hist in tally.histograms() {
+            latencies.merge(hist);
+        }
         let stats = EngineStats {
             backend: self.backend.name(),
-            workers: self.pool.workers(),
-            queries: total,
+            queries: queries.len(),
             elapsed_secs,
             queries_per_sec: if elapsed_secs > 0.0 {
-                total as f64 / elapsed_secs
+                queries.len() as f64 / elapsed_secs
             } else {
                 0.0
             },
@@ -821,6 +802,80 @@ impl BatchEngine {
             resolution_counts: *tally.resolutions(),
         };
         Ok((stats, tally))
+    }
+
+    /// Answers `queries` into `answers` (already sized to match) and returns
+    /// the batch's per-case tally.
+    ///
+    /// The queries are sorted by `(t, k, s)` and each same-`(t, k)` run, a
+    /// one-query run included, is answered with one
+    /// [`Reachability::query_group`] call, so per-target work (candidate
+    /// translation, Case-4 scratch bitsets, lock acquisition, shared-row
+    /// verdicts) is paid once per run instead of once per query.
+    ///
+    /// Each run is tallied from the one observation its call produced: its
+    /// members by the Algorithm-2 case the kernel noted for each source
+    /// (members with no noted case under the run's resolution, BFS fallback
+    /// or unknown), every member at the run's mean latency, and the run's
+    /// probe totals once. The class counts therefore sum to the served
+    /// query count. Only runs of two or more count as batched
+    /// (`engine.grouped_share`).
+    fn answer_groups(
+        &self,
+        queries: &[Query],
+        answers: &mut [bool],
+        scratch: &mut Scratch,
+    ) -> CaseTally {
+        let mut tally = CaseTally::new();
+        let count = u32::try_from(queries.len()).expect("a batch holds at most u32::MAX queries");
+        scratch.order.clear();
+        scratch.order.extend(0..count);
+        // Sort by (t, k, s): groups become contiguous and duplicate sources
+        // within a group sit next to each other for the memoized kernels.
+        scratch.order.sort_unstable_by_key(|&i| {
+            let q = &queries[i as usize];
+            (q.t.0, q.k, q.s.0)
+        });
+        for group in scratch.order.chunk_by(|&a, &b| {
+            let (a, b) = (&queries[a as usize], &queries[b as usize]);
+            (a.t, a.k) == (b.t, b.k)
+        }) {
+            let Query { t, k, .. } = queries[group[0] as usize];
+            scratch.group_sources.clear();
+            scratch
+                .group_sources
+                .extend(group.iter().map(|&i| queries[i as usize].s));
+            scratch.group_answers.clear();
+            scratch.group_answers.resize(group.len(), false);
+            // The span's clock times the group whether or not it records.
+            let mut span = self.recorder.span("engine.group");
+            let mark = ProbeMark::begin();
+            self.backend
+                .query_group(&scratch.group_sources, t, k, &mut scratch.group_answers);
+            let obs = mark.observe();
+            let size = group.len() as u64;
+            let mean_nanos = span.elapsed_nanos() / size;
+            if size > 1 {
+                tally.note_batched_group(size);
+            }
+            for (&i, &answer) in group.iter().zip(&scratch.group_answers) {
+                answers[i as usize] = answer;
+            }
+            tally.observe(&obs, size, mean_nanos);
+            if span.is_recording() {
+                let classes = obs.class_counts(size);
+                span.note(format!(
+                    "t={} k={k} size={size} case1={} case2={} case3={} case4={} resolution={}",
+                    t.0,
+                    classes[0],
+                    classes[1],
+                    classes[2],
+                    classes[3],
+                    obs.resolution.label()
+                ));
+            }
+        }
+        tally
     }
 }
 
@@ -943,14 +998,7 @@ mod tests {
     fn answers_match_ground_truth_in_batch_order() {
         let g = Arc::new(GeneratorSpec::ErdosRenyi { n: 60, m: 240 }.generate(5));
         let k = 3;
-        let engine = engine_over(
-            &g,
-            k,
-            EngineConfig {
-                workers: 4,
-                ..Default::default()
-            },
-        );
+        let engine = engine_over(&g, k, EngineConfig::default());
         let batch = exhaustive_batch(&g, k);
         let outcome = engine.run(&batch).expect("valid batch");
         assert_eq!(outcome.answers.len(), batch.len());
@@ -969,6 +1017,9 @@ mod tests {
 
     #[test]
     fn worker_count_does_not_change_answers() {
+        // The server's handler threads are the engine's workers: four of
+        // them run batches on one shared engine at once, and each gets the
+        // answers one caller alone gets, all equal to BFS.
         let g = Arc::new(
             GeneratorSpec::PowerLaw {
                 n: 120,
@@ -979,30 +1030,60 @@ mod tests {
         );
         let k = 4;
         let batch = exhaustive_batch(&g, k);
-        let baseline = engine_over(
-            &g,
-            k,
-            EngineConfig {
-                workers: 1,
-                ..Default::default()
-            },
-        )
-        .run(&batch)
-        .unwrap();
-        for workers in [2, 4, 8] {
-            let outcome = engine_over(
-                &g,
-                k,
-                EngineConfig {
-                    workers,
-                    ..Default::default()
-                },
-            )
-            .run(&batch)
-            .unwrap();
-            assert_eq!(outcome.answers, baseline.answers, "workers = {workers}");
-            assert_eq!(outcome.stats.workers, workers);
+        let engine = engine_over(&g, k, EngineConfig::default());
+        let alone = engine.run(&batch).unwrap();
+        for (q, &answer) in batch.queries().iter().zip(&alone.answers) {
+            assert_eq!(answer, khop_reachable_bfs(&g, q.s, q.t, k), "{q:?}");
         }
+        std::thread::scope(|scope| {
+            let callers: Vec<_> = (0..4)
+                .map(|_| scope.spawn(|| engine.run(&batch).unwrap()))
+                .collect();
+            for caller in callers {
+                let outcome = caller.join().expect("caller thread panicked");
+                assert_eq!(outcome.answers, alone.answers);
+                assert_eq!(outcome.stats.case_counts, alone.stats.case_counts);
+            }
+        });
+        assert_eq!(engine.info().served_queries, 5 * batch.len() as u64);
+    }
+
+    #[test]
+    fn panicking_backend_fails_the_batch_loudly_and_the_engine_survives() {
+        /// A backend that panics on one poisoned pair.
+        struct Trap;
+        impl Reachability for Trap {
+            fn name(&self) -> &'static str {
+                "trap"
+            }
+            fn vertex_count(&self) -> usize {
+                8
+            }
+            fn default_k(&self) -> u32 {
+                1
+            }
+            fn query(&self, s: VertexId, t: VertexId, _k: u32) -> bool {
+                assert!(!(s == VertexId(3) && t == VertexId(3)), "trap sprung");
+                true
+            }
+        }
+        let engine = BatchEngine::with_defaults(Arc::new(Trap));
+        let query = |s, t| Query {
+            s: VertexId(s),
+            t: VertexId(t),
+            k: 1,
+        };
+        let poisoned = QueryBatch::new(vec![query(0, 1), query(3, 3)]);
+        let failed =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.run(&poisoned)));
+        assert!(failed.is_err(), "a panicking backend must fail the batch");
+        // The failed batch was not tallied, and the same engine answers a
+        // clean batch.
+        assert_eq!(engine.info().served_queries, 0);
+        let clean = QueryBatch::new(vec![query(0, 1), query(2, 1)]);
+        let outcome = engine.run(&clean).unwrap();
+        assert_eq!(outcome.answers, vec![true, true]);
+        assert_eq!(engine.info().served_queries, 2);
     }
 
     #[test]
@@ -1067,10 +1148,7 @@ mod tests {
         let g = DiGraph::from_edges(3, [(0, 1)]);
         let engine = BatchEngine::new(
             Arc::new(DynamicKReachBackend::new(g, 2, DynamicOptions::default())),
-            EngineConfig {
-                workers: 2,
-                ..Default::default()
-            },
+            EngineConfig::default(),
         );
         let probe = QueryBatch::new(vec![
             Query {
@@ -1122,10 +1200,7 @@ mod tests {
         let g = DiGraph::from_edges(3, [(0, 1)]);
         let engine = BatchEngine::new(
             Arc::new(DynamicKReachBackend::new(g, 2, DynamicOptions::default())),
-            EngineConfig {
-                workers: 1,
-                max_vertices: 1000,
-            },
+            EngineConfig { max_vertices: 1000 },
         );
         // A hostile update line naming u32::MAX must error, not allocate
         // per-vertex state proportional to the id.
@@ -1158,17 +1233,9 @@ mod tests {
     #[test]
     fn engine_info_snapshots_serving_state() {
         let g = Arc::new(DiGraph::from_edges(4, [(0, 1), (1, 2)]));
-        let engine = engine_over(
-            &g,
-            2,
-            EngineConfig {
-                workers: 3,
-                ..Default::default()
-            },
-        );
+        let engine = engine_over(&g, 2, EngineConfig::default());
         let info = engine.info();
         assert_eq!(info.backend, "k-reach");
-        assert_eq!(info.workers, 3);
         assert_eq!(info.vertex_count, 4);
         assert_eq!(info.default_k, 2);
         assert_eq!(info.epoch, 0);
@@ -1182,14 +1249,7 @@ mod tests {
     fn case_counts_sum_to_the_query_count_across_batches() {
         let g = Arc::new(GeneratorSpec::ErdosRenyi { n: 40, m: 160 }.generate(11));
         let k = 3;
-        let engine = engine_over(
-            &g,
-            k,
-            EngineConfig {
-                workers: 2,
-                ..Default::default()
-            },
-        );
+        let engine = engine_over(&g, k, EngineConfig::default());
         let batch = exhaustive_batch(&g, k);
         let total = batch.len() as u64;
 
@@ -1224,7 +1284,7 @@ mod tests {
 
     /// Fan-in traffic over `g`: every source asks about each of a handful
     /// of hot targets twice (duplicates must survive grouping too), so each
-    /// chunk holds large same-target runs for the batched kernel.
+    /// batch holds large same-target runs for the batched kernel.
     fn fan_in_batch(g: &DiGraph, k: u32) -> QueryBatch {
         let mut queries = Vec::new();
         for t in [VertexId(0), VertexId(1), VertexId(17)] {
@@ -1243,10 +1303,7 @@ mod tests {
         let recorder = Recorder::new(4096);
         let engine = BatchEngine::with_recorder(
             Arc::new(KReachBackend::new(Arc::clone(&g), index)),
-            EngineConfig {
-                workers: 2,
-                ..Default::default()
-            },
+            EngineConfig::default(),
             recorder.clone(),
         );
         assert!(engine.recorder().is_enabled());
@@ -1275,7 +1332,7 @@ mod tests {
             })
             .sum();
         assert_eq!(sizes, batch.len());
-        // Worker spans joined the caller's trace instead of opening roots.
+        // Group spans joined the caller's trace instead of opening roots.
         assert!(spans.iter().all(|s| s.trace_id == root_id), "{spans:?}");
         assert!(
             group_spans
@@ -1298,10 +1355,7 @@ mod tests {
             .generate(11),
         );
         let fan_in = fan_in_batch(&g, 3);
-        let config = EngineConfig {
-            workers: 2,
-            ..Default::default()
-        };
+        let config = EngineConfig::default();
         let traced = BatchEngine::with_recorder(
             Arc::new(KReachBackend::new(
                 Arc::clone(&g),
@@ -1330,10 +1384,7 @@ mod tests {
         let g = DiGraph::from_edges(4, [(0, 1), (1, 2)]);
         let engine = BatchEngine::new(
             Arc::new(DynamicKReachBackend::new(g, 2, DynamicOptions::default())),
-            EngineConfig {
-                workers: 1,
-                ..Default::default()
-            },
+            EngineConfig::default(),
         );
         assert_eq!(engine.update_totals(), UpdateStats::default());
         engine
@@ -1356,32 +1407,26 @@ mod tests {
     #[test]
     fn stats_render_as_json_and_text() {
         let g = Arc::new(DiGraph::from_edges(4, [(0, 1), (1, 2)]));
-        let engine = engine_over(
-            &g,
-            2,
-            EngineConfig {
-                workers: 2,
-                ..Default::default()
-            },
-        );
+        let engine = engine_over(&g, 2, EngineConfig::default());
         let batch = exhaustive_batch(&g, 2);
         let stats = engine.run(&batch).unwrap().stats;
         let json = stats.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
-        for field in [
-            "\"backend\"",
-            "\"workers\":2",
-            "\"queries\":16",
-            "\"resolutions\"",
-        ] {
+        for field in ["\"backend\"", "\"queries\":16", "\"resolutions\""] {
             assert!(json.contains(field), "missing {field} in {json}");
         }
         let text = format!("{stats}");
-        assert!(text.contains("workers") && text.contains("q/s"), "{text}");
+        assert!(
+            text.contains("16 queries") && text.contains("q/s"),
+            "{text}"
+        );
     }
 
     #[test]
     fn grouped_dispatch_matches_per_query_answers_and_is_counted() {
+        use crate::backend::DynamicKReachBackend;
+        use kreach_core::dynamic::DynamicOptions;
+
         let g = Arc::new(
             GeneratorSpec::PowerLaw {
                 n: 100,
@@ -1391,34 +1436,54 @@ mod tests {
             .generate(11),
         );
         let k = 3;
-        // 600 queries: the batch spans several chunks.
+        // 600 queries in large same-target runs.
         let batch = fan_in_batch(&g, k);
-        let config = EngineConfig {
-            workers: 2,
-            ..Default::default()
-        };
-        let grouped_engine = engine_over(&g, k, config);
-        let grouped = grouped_engine.run(&batch).unwrap();
         // Byte-identical answers to the nested-loop reference, one query at
-        // a time: grouping changes dispatch, never results.
+        // a time, and per-case counts equal to classifying each query:
+        // grouping changes dispatch, never results or accounting.
         let index = KReachIndex::build(&g, k, BuildOptions::default());
-        let mut case_counts = [0u64; CLASSES];
-        for (q, &answer) in batch.queries().iter().zip(&grouped.answers) {
-            let (expected, case) = index.query_with_case_naive(g.as_ref(), q.s, q.t);
-            assert_eq!(answer, expected, "{q:?}");
-            case_counts[case.number() as usize - 1] += 1;
+        let expected: Vec<bool> = batch
+            .queries()
+            .iter()
+            .map(|q| index.query_with_case_naive(g.as_ref(), q.s, q.t).0)
+            .collect();
+        let case_counts_of = |index: &KReachIndex| {
+            let mut counts = [0u64; CLASSES];
+            for q in batch.queries() {
+                counts[index.classify(q.s, q.t).number() as usize - 1] += 1;
+            }
+            counts
+        };
+        let dynamic = Arc::new(DynamicKReachBackend::new(
+            (*g).clone(),
+            k,
+            DynamicOptions::default(),
+        ));
+        // The maintainer computes its own cover; classify against it.
+        let dynamic_cases = dynamic.with_state(|state| case_counts_of(state.index()));
+        let runs = [
+            (
+                engine_over(&g, k, EngineConfig::default()),
+                case_counts_of(&index),
+            ),
+            (BatchEngine::with_defaults(dynamic), dynamic_cases),
+        ];
+        for (engine, case_counts) in &runs {
+            let backend = engine.backend().name();
+            let grouped = engine.run(&batch).unwrap();
+            assert_eq!(grouped.answers, expected, "{backend}");
+            assert!(
+                grouped.tally.batched_queries() > 0,
+                "{backend}: shared-target traffic must engage the batched kernel"
+            );
+            assert!(grouped.tally.batched_groups() > 0);
+            // Grouped queries are still tallied per class, once each.
+            assert_eq!(grouped.tally.total(), batch.len() as u64);
+            assert_eq!(&grouped.stats.case_counts, case_counts, "{backend}");
+            let info = engine.info();
+            assert_eq!(info.batched_queries, grouped.tally.batched_queries());
+            assert_eq!(info.batched_groups, grouped.tally.batched_groups());
         }
-        assert!(
-            grouped.tally.batched_queries() > 0,
-            "shared-target traffic must engage the batched kernel"
-        );
-        assert!(grouped.tally.batched_groups() > 0);
-        // Grouped queries are still tallied per class, once each.
-        assert_eq!(grouped.tally.total(), batch.len() as u64);
-        assert_eq!(grouped.stats.case_counts, case_counts);
-        let info = grouped_engine.info();
-        assert_eq!(info.batched_queries, grouped.tally.batched_queries());
-        assert_eq!(info.batched_groups, grouped.tally.batched_groups());
     }
 
     #[test]
@@ -1461,14 +1526,7 @@ mod tests {
     fn run_into_reuses_the_callers_answer_buffer() {
         let g = Arc::new(GeneratorSpec::ErdosRenyi { n: 40, m: 160 }.generate(7));
         let k = 2;
-        let engine = engine_over(
-            &g,
-            k,
-            EngineConfig {
-                workers: 2,
-                ..Default::default()
-            },
-        );
+        let engine = engine_over(&g, k, EngineConfig::default());
         let batch = exhaustive_batch(&g, k);
         let mut answers = Vec::new();
         let (stats, _) = engine.run_into(&batch, &mut answers).unwrap();
@@ -1500,10 +1558,7 @@ mod tests {
         let g = DiGraph::from_edges(3, [(0, 1), (1, 2)]);
         let engine = BatchEngine::new(
             Arc::new(DynamicKReachBackend::new(g, 2, DynamicOptions::default())),
-            EngineConfig {
-                workers: 2,
-                ..Default::default()
-            },
+            EngineConfig::default(),
         );
         let windows = Arc::new(WindowStats::new());
         let events = Arc::new(FlightRecorder::new(16));

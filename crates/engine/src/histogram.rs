@@ -3,7 +3,7 @@
 //! Per-query timings are recorded into log₂-spaced buckets: bucket `i`
 //! covers `[2^(i-1), 2^i)` nanoseconds. That gives a worst-case quantile
 //! error of 2× across a 0 ns – 9 s range with 64 fixed counters — no
-//! allocation on the hot path and O(1) merging of per-worker histograms,
+//! allocation on the hot path and O(1) merging of per-thread histograms,
 //! which is all a serving report (p50/p99) needs.
 
 const BUCKETS: usize = 64;
@@ -49,9 +49,19 @@ impl LatencyHistogram {
     /// than wrapping, so a hostile duration can never corrupt the totals.
     #[inline]
     pub fn record(&mut self, nanos: u64) {
-        self.buckets[Self::bucket_of(nanos)] += 1;
-        self.count += 1;
-        self.sum_nanos = self.sum_nanos.saturating_add(nanos);
+        self.record_n(nanos, 1);
+    }
+
+    /// Records `n` observations of `nanos` each, as `n` calls of
+    /// [`LatencyHistogram::record`] would.
+    #[inline]
+    pub fn record_n(&mut self, nanos: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[Self::bucket_of(nanos)] += n;
+        self.count += n;
+        self.sum_nanos = self.sum_nanos.saturating_add(nanos.saturating_mul(n));
         self.max_nanos = self.max_nanos.max(nanos);
     }
 

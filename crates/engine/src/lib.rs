@@ -1,7 +1,7 @@
 //! # kreach-engine
 //!
-//! A concurrent batch query engine over the K-Reach indexes: the serving
-//! layer that turns the paper's microsecond single-query latency into batch
+//! A batch query engine over the K-Reach indexes: the serving layer that
+//! turns the paper's microsecond single-query latency into batch
 //! throughput.
 //!
 //! The paper (Cheng et al., *K-Reach: Who is in Your Small World*, PVLDB
@@ -14,13 +14,13 @@
 //!   [`BfsBackend`] (index-free online search) and [`DynamicKReachBackend`]
 //!   (incrementally maintained index accepting edge mutations). All are
 //!   `Send + Sync` and served as `Arc<dyn Reachability>`.
-//! * [`BatchEngine`] — a fixed pool of `std::thread` workers fed chunk jobs
-//!   over channels; answers come back **in batch order**, identical for
-//!   every worker count. Unless tracing is on, each chunk is sorted by
-//!   target and every run of queries sharing a `(t, k)` is answered with
-//!   one [`Reachability::query_group`] call. [`BatchEngine::apply_updates`]
-//!   routes graph mutations through the backend and advances the mutation
-//!   epoch.
+//! * [`BatchEngine`] — answers a batch on the calling thread, **in batch
+//!   order**: the batch is sorted by target and every run of queries
+//!   sharing a `(t, k)` is answered with one [`Reachability::query_group`]
+//!   call, traced or not. Any number of threads may run batches on one
+//!   engine at once; the server's connection handlers do.
+//!   [`BatchEngine::apply_updates`] routes graph mutations through the
+//!   backend and advances the mutation epoch.
 //! * [`EngineStats`] — per-run serving report: throughput, the Table-8 case
 //!   mix, and p50/p99 latency from power-of-two histograms.
 //!
@@ -36,7 +36,7 @@
 //! let index = KReachIndex::build(&g, 2, BuildOptions::default());
 //! let engine = BatchEngine::new(
 //!     Arc::new(KReachBackend::new(Arc::clone(&g), index)),
-//!     EngineConfig { workers: 2, ..EngineConfig::default() },
+//!     EngineConfig::default(),
 //! );
 //! let pairs = vec![(VertexId(0), VertexId(2)), (VertexId(0), VertexId(4))];
 //! let outcome = engine.run(&QueryBatch::from_pairs(&pairs, 2)).unwrap();
@@ -51,8 +51,6 @@ pub mod batch;
 pub mod casestats;
 pub mod engine;
 pub mod histogram;
-mod pool;
-pub mod sweep;
 
 pub use backend::{
     BfsBackend, DynamicKReachBackend, HkReachBackend, KReachBackend, Reachability, UpdateError,

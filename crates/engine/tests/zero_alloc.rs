@@ -1,18 +1,16 @@
 //! Allocation-free steady-state serving, proven by a counting allocator.
 //!
-//! The engine's serving path promises zero *per-query* heap allocations once
-//! warmed: worker scratch (answers, group buffers, candidate bitsets, row
-//! memos) lives in thread-local arenas that grow to a high-water mark and
-//! are reused, the caller's answer buffer is recycled through
-//! [`kreach_engine::BatchEngine::run_into`], and latency/case accounting
-//! uses fixed-size arrays. What remains per *batch* is a small constant:
-//! one task `Arc`, a channel node per dispatched worker handle, and the
-//! stats struct's backend-name string.
+//! The engine answers a batch on the calling thread and promises zero heap
+//! allocations per warmed batch: its scratch (sort order, group buffers,
+//! candidate bitsets, row memos) lives in thread-local arenas that grow to
+//! a high-water mark and are reused, the caller's answer buffer is
+//! recycled through [`kreach_engine::BatchEngine::run_into`], latency and
+//! case accounting use fixed-size arrays, and the stats carry the backend
+//! name as a `&'static str`.
 //!
-//! The proof: after warmup, the allocation count of a batch is independent
-//! of the batch size (1 000 vs 4 000 queries allocate identically) and below
-//! a small constant bound. Any per-query allocation sneaking into the
-//! dispatch path breaks the size-independence assertion immediately.
+//! The proof: after warmup, a batch of 1 000 queries and one of 4 000 each
+//! allocate nothing at all. Any per-query or per-batch allocation sneaking
+//! into the dispatch path breaks the assertion immediately.
 //!
 //! This lives in an integration test because the engine library forbids
 //! `unsafe`, and a [`GlobalAlloc`] impl requires it.
@@ -63,7 +61,7 @@ fn fan_in_batch(n_vertices: u32, k: u32, copies: usize) -> QueryBatch {
         for i in 0..125u32 {
             let s = (i * 7 + round) % n_vertices;
             let t = match i % 5 {
-                // Hot targets: large same-target groups per chunk.
+                // Hot targets: large same-target groups.
                 0..=2 => i % 3,
                 // Scattered: singleton groups.
                 3 => (i * 13 + 5) % n_vertices,
@@ -101,22 +99,18 @@ fn warmed_engine_serves_batches_without_per_query_allocations() {
         .generate(21),
     );
     let index = KReachIndex::build(&g, k, BuildOptions::default());
+    // Every calling thread owns identical thread-local arenas, so the claim
+    // measured on this one generalizes to the server's handler threads.
     let engine = BatchEngine::new(
         Arc::new(KReachBackend::new(Arc::clone(&g), index)),
-        EngineConfig {
-            // One worker keeps the measurement deterministic; every worker
-            // thread owns identical thread-local arenas, so the per-query
-            // claim generalizes.
-            workers: 1,
-            ..EngineConfig::default()
-        },
+        EngineConfig::default(),
     );
 
     let small = fan_in_batch(300, k, 8); //  1 000 queries
     let big = fan_in_batch(300, k, 32); //  4 000 queries
     let mut answers = Vec::new();
 
-    // Warm every arena to its high-water mark: answer buffer, worker
+    // Warm every arena to its high-water mark: answer buffer, engine
     // scratch, candidate bitsets, row memos, the lazy position-adjacency
     // tables.
     for _ in 0..3 {
@@ -133,13 +127,9 @@ fn warmed_engine_serves_batches_without_per_query_allocations() {
     let big_delta = allocations() - before_big;
 
     assert_eq!(
-        small_delta, big_delta,
-        "allocation count must not scale with batch size \
+        (small_delta, big_delta),
+        (0, 0),
+        "a warmed batch must allocate nothing \
          (1k queries: {small_delta}, 4k queries: {big_delta})"
-    );
-    assert!(
-        small_delta <= 16,
-        "a warmed batch should cost only the constant per-batch setup \
-         (task Arc, dispatch channel node, stats string); saw {small_delta}"
     );
 }

@@ -14,8 +14,8 @@
 //!   global drain that groups records back into [`Trace`] trees. The
 //!   [`Recorder::disabled`] mode reduces every hot-path call to one branch.
 //! * [`observe`] — thread-local side channels the query hot path writes
-//!   *into* and the engine reads *out of*: which Algorithm-2 case (1–4)
-//!   fired ([`observe::note_case`]), whether the answer came from a dense
+//!   *into* and the engine reads *out of*: how many queries each
+//!   Algorithm-2 case (1–4) answered ([`observe::note_case`]), whether the answer came from a dense
 //!   bitset probe or a sparse galloping merge (probe counters bumped by
 //!   `kreach-graph`/`kreach-core`), or from the engine's off-bound BFS
 //!   fallback. The engine classifies each query into one of

@@ -6,8 +6,8 @@
 //! through their signatures. Instead the hot path *writes* cheap
 //! thread-local signals as a side effect —
 //!
-//! * [`note_case`]: which Algorithm-2 case (1–4) the k-reach query
-//!   dispatcher picked,
+//! * [`note_case`]: one query (one source of a target group) dispatched to
+//!   Algorithm-2 case 1–4; each case keeps its own counter,
 //! * [`note_bfs_fallback`]: the query ran the engine's exact online BFS
 //!   (hop bound differs from the index's),
 //! * [`note_dense_probe`] / [`note_sparse_gallop`]: a successor-row
@@ -18,12 +18,14 @@
 //! [`ProbeMark`] before, derive a [`QueryObservation`] after. Everything is
 //! a `Cell` in thread-local storage (one predictable add on the hot path,
 //! no atomics, no locks), which works because a backend answers each query
-//! synchronously on the calling worker thread.
+//! synchronously on the calling thread.
 //!
-//! The derived observation classifies every served query into exactly one
-//! of [`CLASSES`] resolution classes — cases 1–4, BFS fallback, or
-//! unknown — so per-class counters always sum to the total query count,
-//! the invariant `GET /metrics` consumers rely on.
+//! One backend call may answer a whole target group, so the observation
+//! counts how many of its sources landed in each case, and
+//! [`QueryObservation::class_counts`] spreads the group over the
+//! [`CLASSES`] resolution classes — cases 1–4, BFS fallback, or unknown —
+//! so per-class counters always sum to the total query count, the
+//! invariant `GET /metrics` consumers rely on.
 
 use std::cell::Cell;
 
@@ -42,10 +44,13 @@ pub const CLASS_LABELS: [&str; CLASSES] = [
     "unknown",
 ];
 
+/// Number of Algorithm-2 cases.
+pub const CASES: usize = 4;
+
 thread_local! {
     static DENSE_PROBES: Cell<u64> = const { Cell::new(0) };
     static SPARSE_GALLOPS: Cell<u64> = const { Cell::new(0) };
-    static LAST_CASE: Cell<u8> = const { Cell::new(0) };
+    static CASE_COUNTS: [Cell<u64>; CASES] = const { [const { Cell::new(0) }; CASES] };
     static BFS_FALLBACK: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -62,10 +67,17 @@ pub fn note_sparse_gallop() {
     SPARSE_GALLOPS.with(|c| c.set(c.get().wrapping_add(1)));
 }
 
-/// Records which Algorithm-2 case (1–4) the current query dispatched to.
+/// Records that one query dispatched to Algorithm-2 case `case` (1–4).
 #[inline]
 pub fn note_case(case: u8) {
-    LAST_CASE.with(|c| c.set(case));
+    debug_assert!(
+        (1..=CASES as u8).contains(&case),
+        "case {case} out of 1..=4"
+    );
+    CASE_COUNTS.with(|counts| {
+        let slot = &counts[usize::from(case) - 1];
+        slot.set(slot.get().wrapping_add(1));
+    });
 }
 
 /// Records that the current query was answered by the exact online BFS
@@ -80,6 +92,12 @@ pub fn note_bfs_fallback() {
 /// come from [`ProbeMark`] deltas.
 pub fn probe_totals() -> (u64, u64) {
     (DENSE_PROBES.with(Cell::get), SPARSE_GALLOPS.with(Cell::get))
+}
+
+/// Cumulative per-case query counters for the calling thread, index 0 for
+/// case 1 — monotone totals like [`probe_totals`].
+fn case_totals() -> [u64; CASES] {
+    CASE_COUNTS.with(|counts| std::array::from_fn(|i| counts[i].get()))
 }
 
 /// How a query's answer was produced, in priority order.
@@ -137,16 +155,19 @@ impl Resolution {
 pub struct ProbeMark {
     dense: u64,
     sparse: u64,
+    cases: [u64; CASES],
 }
 
 impl ProbeMark {
-    /// Snapshots the probe counters and clears the per-query case and
-    /// fallback flags.
+    /// Snapshots the probe and case counters and clears the fallback flag.
     pub fn begin() -> ProbeMark {
-        LAST_CASE.with(|c| c.set(0));
         BFS_FALLBACK.with(|c| c.set(false));
         let (dense, sparse) = probe_totals();
-        ProbeMark { dense, sparse }
+        ProbeMark {
+            dense,
+            sparse,
+            cases: case_totals(),
+        }
     }
 
     /// Derives the observation for the backend call made since
@@ -155,7 +176,8 @@ impl ProbeMark {
         let (dense_now, sparse_now) = probe_totals();
         let dense = dense_now.wrapping_sub(self.dense);
         let sparse = sparse_now.wrapping_sub(self.sparse);
-        let case = LAST_CASE.with(Cell::get);
+        let now = case_totals();
+        let cases = std::array::from_fn(|i| now[i].wrapping_sub(self.cases[i]));
         let resolution = if BFS_FALLBACK.with(Cell::get) {
             Resolution::BfsFallback
         } else if dense > 0 {
@@ -166,7 +188,7 @@ impl ProbeMark {
             Resolution::Other
         };
         QueryObservation {
-            case,
+            cases,
             resolution,
             dense_probes: dense,
             sparse_gallops: sparse,
@@ -174,30 +196,38 @@ impl ProbeMark {
     }
 }
 
-/// What the hot path reported about one query.
+/// What the hot path reported about the queries of one backend call (one
+/// query, or every source of a target group).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryObservation {
-    /// Algorithm-2 case 1–4, or 0 when the query never dispatched through
-    /// the case split (BFS fallback, trivial short-circuit, BFS backend).
-    pub case: u8,
-    /// How the answer was produced.
+    /// Queries that dispatched to each Algorithm-2 case, case 1 first.
+    /// Queries that never reached the case split (BFS fallback, BFS
+    /// backend) are not counted here.
+    pub cases: [u64; CASES],
+    /// How the answers were produced.
     pub resolution: Resolution,
-    /// Dense bitset words probed by this query.
+    /// Dense bitset words probed by the call.
     pub dense_probes: u64,
-    /// Sparse galloping intersections run by this query.
+    /// Sparse galloping intersections run by the call.
     pub sparse_gallops: u64,
 }
 
 impl QueryObservation {
-    /// The class this query counts under, indexing [`CLASS_LABELS`]:
-    /// cases 1–4 map to 0–3 (whatever the resolution), BFS fallbacks to 4,
-    /// everything else to 5.
-    pub fn class_index(&self) -> usize {
-        match (self.case, self.resolution) {
-            (1..=4, _) => self.case as usize - 1,
-            (_, Resolution::BfsFallback) => 4,
-            _ => 5,
-        }
+    /// Spreads the call's `queries` over the classes of [`CLASS_LABELS`]:
+    /// each case-noted query under its case, and the rest under BFS
+    /// fallback when the call fell back, unknown otherwise. The counts sum
+    /// to `queries` whenever no more than `queries` cases were noted.
+    pub fn class_counts(&self, queries: u64) -> [u64; CLASSES] {
+        let mut counts = [0; CLASSES];
+        counts[..CASES].copy_from_slice(&self.cases);
+        let noted: u64 = self.cases.iter().sum();
+        let rest = if self.resolution == Resolution::BfsFallback {
+            4
+        } else {
+            5
+        };
+        counts[rest] = queries.saturating_sub(noted);
+        counts
     }
 }
 
@@ -213,22 +243,25 @@ mod tests {
         note_dense_probe();
         note_sparse_gallop();
         let obs = mark.observe();
-        assert_eq!(obs.case, 4);
+        assert_eq!(obs.cases, [0, 0, 0, 1]);
         assert_eq!(obs.dense_probes, 2);
         assert_eq!(obs.sparse_gallops, 1);
         // Dense wins the mixed classification.
         assert_eq!(obs.resolution, Resolution::DenseBitset);
-        assert_eq!(obs.class_index(), 3);
+        assert_eq!(obs.class_counts(1), [0, 0, 0, 1, 0, 0]);
 
-        // A fresh mark sees only what happens after it.
+        // A fresh mark sees only what happens after it, and counts every
+        // noted case of a group.
         let mark = ProbeMark::begin();
         note_case(2);
+        note_case(2);
+        note_case(1);
         note_sparse_gallop();
         let obs = mark.observe();
-        assert_eq!(obs.case, 2);
+        assert_eq!(obs.cases, [1, 2, 0, 0]);
         assert_eq!(obs.dense_probes, 0);
         assert_eq!(obs.resolution, Resolution::SparseGallop);
-        assert_eq!(obs.class_index(), 1);
+        assert_eq!(obs.class_counts(3), [1, 2, 0, 0, 0, 0]);
     }
 
     #[test]
@@ -238,9 +271,10 @@ mod tests {
         note_dense_probe();
         let obs = mark.observe();
         assert_eq!(obs.resolution, Resolution::BfsFallback);
-        assert_eq!(obs.case, 0);
-        assert_eq!(obs.class_index(), 4);
-        assert_eq!(CLASS_LABELS[obs.class_index()], "bfs_fallback");
+        assert_eq!(obs.cases, [0; CASES]);
+        let counts = obs.class_counts(2);
+        assert_eq!(counts, [0, 0, 0, 0, 2, 0]);
+        assert_eq!(CLASS_LABELS[4], "bfs_fallback");
     }
 
     #[test]
@@ -248,23 +282,27 @@ mod tests {
         let mark = ProbeMark::begin();
         let obs = mark.observe();
         assert_eq!(obs.resolution, Resolution::Other);
-        assert_eq!(obs.class_index(), 5);
-        assert_eq!(CLASS_LABELS[obs.class_index()], "unknown");
+        assert_eq!(obs.class_counts(1), [0, 0, 0, 0, 0, 1]);
+        assert_eq!(CLASS_LABELS[5], "unknown");
     }
 
     #[test]
     fn attributed_cases_outrank_the_resolution() {
-        // A target-grouped member takes its case from the backend's
-        // classifier and its resolution from the group.
-        let member = QueryObservation {
-            case: 3,
-            resolution: Resolution::Other,
+        // Case-noted members count under their case whatever the group's
+        // resolution; only the un-noted rest takes the resolution's class.
+        let group = QueryObservation {
+            cases: [0, 0, 3, 0],
+            resolution: Resolution::BfsFallback,
             dense_probes: 0,
             sparse_gallops: 0,
         };
-        assert_eq!(member.class_index(), 2);
-        let unclassified = QueryObservation { case: 0, ..member };
-        assert_eq!(unclassified.class_index(), 5);
+        assert_eq!(group.class_counts(5), [0, 0, 3, 0, 2, 0]);
+        let unclassified = QueryObservation {
+            cases: [0; CASES],
+            resolution: Resolution::Other,
+            ..group
+        };
+        assert_eq!(unclassified.class_counts(2), [0, 0, 0, 0, 0, 2]);
         assert_eq!(Resolution::CacheHit.label(), "cache_hit");
         assert_eq!(Resolution::CacheHit.index(), 0);
     }
@@ -272,14 +310,12 @@ mod tests {
     #[test]
     fn class_labels_cover_every_class() {
         assert_eq!(CLASS_LABELS.len(), CLASSES);
-        for case in 1..=4u8 {
-            let obs = QueryObservation {
-                case,
-                resolution: Resolution::SparseGallop,
-                dense_probes: 0,
-                sparse_gallops: 1,
-            };
-            assert_eq!(CLASS_LABELS[obs.class_index()], format!("case{case}"));
+        for case in 1..=CASES as u8 {
+            let mark = ProbeMark::begin();
+            note_case(case);
+            let counts = mark.observe().class_counts(1);
+            let class = counts.iter().position(|&n| n == 1).unwrap();
+            assert_eq!(CLASS_LABELS[class], format!("case{case}"));
         }
     }
 }

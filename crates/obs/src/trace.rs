@@ -19,9 +19,8 @@
 //!
 //! A span context (trace ID + depth) lives in thread-local storage while a
 //! [`SpanGuard`] is alive, so nested spans chain automatically on one
-//! thread. Work handed to another thread (the engine's worker pool)
-//! carries the context explicitly: capture [`Recorder::current`] on the
-//! submitting thread, re-enter with [`Recorder::span_in`] on the worker.
+//! thread. The engine answers a batch on the calling thread, so its spans
+//! nest under the caller's request span with plain [`Recorder::span`].
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -122,8 +121,7 @@ impl Recorder {
     }
 
     /// The calling thread's innermost active span context as
-    /// `(trace_id, depth)`, for carrying a trace across threads
-    /// (re-enter with [`Recorder::span_in`]).
+    /// `(trace_id, depth)`.
     pub fn current(&self) -> Option<(u64, u32)> {
         self.inner.as_ref()?;
         CTX.with(|ctx| ctx.borrow().stack.last().copied())
@@ -146,18 +144,6 @@ impl Recorder {
         match self.current() {
             Some((trace_id, depth)) => self.enter(trace_id, depth + 1, name),
             None => self.trace(name),
-        }
-    }
-
-    /// Opens a span inside an explicit trace context captured on another
-    /// thread with [`Recorder::current`].
-    pub fn span_in(&self, context: Option<(u64, u32)>, name: &'static str) -> SpanGuard<'_> {
-        if self.inner.is_none() {
-            return SpanGuard::noop();
-        }
-        match context {
-            Some((trace_id, depth)) => self.enter(trace_id, depth + 1, name),
-            None => self.span(name),
         }
     }
 
@@ -444,33 +430,6 @@ mod tests {
         assert!(second > first);
         let traces = Trace::group(recorder.drain());
         assert_eq!(traces.len(), 2);
-    }
-
-    #[test]
-    fn span_in_carries_a_trace_across_threads() {
-        let recorder = Recorder::new(64);
-        let context = {
-            let _root = recorder.trace("request");
-            let context = recorder.current();
-            assert!(context.is_some());
-            let worker = recorder.clone();
-            std::thread::spawn(move || {
-                let mut span = worker.span_in(context, "worker");
-                span.note("cross-thread");
-                // Nested spans on the worker chain under the carried trace.
-                let _inner = worker.span("inner");
-            })
-            .join()
-            .unwrap();
-            context
-        };
-        let spans = recorder.drain();
-        assert_eq!(spans.len(), 3);
-        let trace_id = context.unwrap().0;
-        assert!(spans.iter().all(|s| s.trace_id == trace_id), "{spans:?}");
-        let worker = spans.iter().find(|s| s.name == "worker").unwrap();
-        assert_eq!(worker.depth, 1);
-        assert_eq!(spans.iter().find(|s| s.name == "inner").unwrap().depth, 2);
     }
 
     #[test]

@@ -52,7 +52,7 @@
 //! let g = Arc::new(DiGraph::from_edges(3, [(0, 1), (1, 2)]));
 //! let engine = Arc::new(BatchEngine::new(
 //!     Arc::new(BfsBackend::new(g, 2)),
-//!     EngineConfig { workers: 1, ..EngineConfig::default() },
+//!     EngineConfig::default(),
 //! ));
 //! let handle = start(engine, ServerConfig::default()).unwrap();
 //! let mut client = BlockingClient::connect(handle.addr()).unwrap();

@@ -93,8 +93,9 @@ pub struct ServerConfig {
     /// [`ServerHandle::port`]).
     pub port: u16,
     /// Connection-handler threads (clamped to at least 1). This bounds how
-    /// many connections make progress concurrently; the engine's own worker
-    /// pool bounds query parallelism within a batch.
+    /// many connections make progress concurrently. Each handler answers
+    /// its requests' queries itself, on its own thread, so it is also the
+    /// server's query parallelism; one batch runs on one thread.
     pub handlers: usize,
     /// Admission budget: connections admitted (queued + in service) before
     /// the acceptor starts shedding with fast 503s. Clamped to at least 1.
@@ -365,8 +366,7 @@ pub fn start_with_obs(
             std::thread::Builder::new()
                 .name(format!("kreach-conn-{i}"))
                 .spawn(move || loop {
-                    // Hold the lock only while dequeuing, exactly like the
-                    // engine's worker pool.
+                    // Hold the lock only while dequeuing.
                     let conn = match receiver.lock() {
                         Ok(rx) => rx.recv(),
                         Err(_) => break,
@@ -973,7 +973,7 @@ fn stats_json(shared: &Arc<Shared>) -> String {
     let metrics = shared.snapshot();
     format!(
         concat!(
-            "{{\"backend\":\"{}\",\"workers\":{},\"vertex_count\":{},\"default_k\":{},",
+            "{{\"backend\":\"{}\",\"vertex_count\":{},\"default_k\":{},",
             "\"epoch\":{},",
             "\"accel\":{{\"bytes\":{},\"dense_rows\":{}}},",
             "\"batched\":{{\"groups\":{},\"queries\":{}}},",
@@ -983,7 +983,6 @@ fn stats_json(shared: &Arc<Shared>) -> String {
             "\"server\":{}}}"
         ),
         info.backend,
-        info.workers,
         info.vertex_count,
         info.default_k,
         info.epoch,
@@ -1661,10 +1660,7 @@ mod tests {
         let g = Arc::new(DiGraph::from_edges(4, [(0, 1), (1, 2)]));
         let engine = Arc::new(BatchEngine::new(
             Arc::new(BfsBackend::new(g, 2)),
-            EngineConfig {
-                workers: 1,
-                ..EngineConfig::default()
-            },
+            EngineConfig::default(),
         ));
         start(engine, tiny_config()).expect("bind")
     }
@@ -1673,10 +1669,7 @@ mod tests {
         let g = DiGraph::from_edges(3, [(0, 1)]);
         let engine = Arc::new(BatchEngine::new(
             Arc::new(DynamicKReachBackend::new(g, 2, DynamicOptions::default())),
-            EngineConfig {
-                workers: 2,
-                ..EngineConfig::default()
-            },
+            EngineConfig::default(),
         ));
         start(engine, tiny_config()).expect("bind")
     }
@@ -1740,10 +1733,7 @@ mod tests {
         let accel_bytes = index.accel_size_bytes();
         let engine = Arc::new(BatchEngine::new(
             Arc::new(kreach_engine::KReachBackend::new(g, index)),
-            EngineConfig {
-                workers: 1,
-                ..EngineConfig::default()
-            },
+            EngineConfig::default(),
         ));
         let server = start(engine, tiny_config()).expect("bind");
         let mut client = BlockingClient::connect(server.addr()).unwrap();
@@ -1788,10 +1778,7 @@ mod tests {
         ));
         let engine = Arc::new(BatchEngine::new(
             Arc::clone(&backend) as Arc<dyn kreach_engine::Reachability>,
-            EngineConfig {
-                workers: 1,
-                ..EngineConfig::default()
-            },
+            EngineConfig::default(),
         ));
         let server = start(engine, tiny_config()).expect("bind");
         let mut client = BlockingClient::connect(server.addr()).unwrap();
@@ -1947,10 +1934,7 @@ mod tests {
         let g = Arc::new(DiGraph::from_edges(2, [(0, 1)]));
         let engine = Arc::new(BatchEngine::new(
             Arc::new(BfsBackend::new(g, 1)),
-            EngineConfig {
-                workers: 1,
-                ..EngineConfig::default()
-            },
+            EngineConfig::default(),
         ));
         let server = start(
             engine,
@@ -2164,10 +2148,7 @@ mod tests {
         let g = DiGraph::from_edges(3, [(0, 1)]);
         let engine = Arc::new(BatchEngine::new(
             Arc::new(DynamicKReachBackend::new(g, 2, DynamicOptions::default())),
-            EngineConfig {
-                workers: 2,
-                ..EngineConfig::default()
-            },
+            EngineConfig::default(),
         ));
         // Handlers own a keep-alive connection for its lifetime: three
         // held-open clients (two loaders + the scraper) need headroom.
@@ -2223,10 +2204,7 @@ mod tests {
         let g = Arc::new(DiGraph::from_edges(4, [(0, 1), (1, 2)]));
         let engine = Arc::new(BatchEngine::with_recorder(
             Arc::new(BfsBackend::new(g, 2)),
-            EngineConfig {
-                workers: 1,
-                ..EngineConfig::default()
-            },
+            EngineConfig::default(),
             Recorder::new(1024),
         ));
         let server = start(
@@ -2351,10 +2329,7 @@ mod tests {
         let g = Arc::new(DiGraph::from_edges(4, [(0, 1), (1, 2)]));
         let engine = Arc::new(BatchEngine::with_recorder(
             Arc::new(BfsBackend::new(g, 2)),
-            EngineConfig {
-                workers: 1,
-                ..EngineConfig::default()
-            },
+            EngineConfig::default(),
             Recorder::new(1024),
         ));
         let server = start(
@@ -2459,10 +2434,7 @@ mod tests {
         let g = DiGraph::from_edges(3, [(0, 1)]);
         let engine = Arc::new(BatchEngine::new(
             Arc::new(DynamicKReachBackend::new(g, 2, DynamicOptions::default())),
-            EngineConfig {
-                workers: 2,
-                ..EngineConfig::default()
-            },
+            EngineConfig::default(),
         ));
         let obs = ServerObs {
             flight_dump_dir: Some(dir.clone()),

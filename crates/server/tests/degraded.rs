@@ -57,10 +57,7 @@ fn serve() -> (
     ));
     let engine = Arc::new(BatchEngine::new(
         backend as Arc<dyn Reachability>,
-        EngineConfig {
-            workers: 1,
-            ..EngineConfig::default()
-        },
+        EngineConfig::default(),
     ));
     let sink = Arc::new(FlakySink {
         fail: AtomicBool::new(false),
@@ -201,10 +198,7 @@ fn healthz_reports_wal_lag_breach_as_degraded() {
     ));
     let engine = Arc::new(BatchEngine::new(
         backend as Arc<dyn Reachability>,
-        EngineConfig {
-            workers: 1,
-            ..EngineConfig::default()
-        },
+        EngineConfig::default(),
     ));
     let durability = Arc::new(DurabilityStats::new());
     let handle = start_with_obs(

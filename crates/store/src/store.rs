@@ -566,10 +566,7 @@ mod tests {
             let backend = Arc::new(DynamicKReachBackend::from_state(restored.state));
             let engine = BatchEngine::new(
                 Arc::clone(&backend) as Arc<dyn kreach_engine::Reachability>,
-                EngineConfig {
-                    workers: 2,
-                    ..EngineConfig::default()
-                },
+                EngineConfig::default(),
             );
             engine.restore_epoch(restored.epoch);
             (Arc::new(engine), backend)
@@ -581,10 +578,7 @@ mod tests {
             ));
             let engine = BatchEngine::new(
                 Arc::clone(&backend) as Arc<dyn kreach_engine::Reachability>,
-                EngineConfig {
-                    workers: 2,
-                    ..EngineConfig::default()
-                },
+                EngineConfig::default(),
             );
             store
                 .checkpoint_with(|| engine_snapshot(&engine, &backend))

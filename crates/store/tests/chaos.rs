@@ -108,10 +108,7 @@ fn open_stack(
     let backend = Arc::new(DynamicKReachBackend::from_state(restored.state));
     let engine = Arc::new(BatchEngine::new(
         Arc::clone(&backend) as Arc<dyn Reachability>,
-        EngineConfig {
-            workers: 1,
-            ..EngineConfig::default()
-        },
+        EngineConfig::default(),
     ));
     engine.restore_epoch(restored.epoch);
     engine.set_durability(Arc::clone(&store) as Arc<dyn DurabilitySink>);

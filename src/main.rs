@@ -12,19 +12,16 @@
 //!   [`kreach::core::kreach::KReachIndex::explain`].
 //! * `kreach workload <edge-list> --queries N --output <file> [--seed S] [--k K]`
 //!   — generate a uniform random query workload file for batch serving.
-//! * `kreach batch <index-file> <edge-list> <queries-file> [--workers N]`
-//!   — answer a whole workload through the concurrent batch engine; answers
-//!   print to stdout (byte-identical for every worker count), the
-//!   [`EngineStats`] serving report goes to stderr.
-//! * `kreach bench-serve [--dataset D] [--scale F] [--k K] [--queries N] [--workers a,b,..]`
-//!   — build an index over a generated dataset, sweep worker counts over one
-//!   workload, and emit throughput (queries/sec) as JSON.
-//! * `kreach update <edge-list> <update-workload> [--k K] [--workers N]`
+//! * `kreach batch <index-file> <edge-list> <queries-file>`
+//!   — answer a whole workload through the batch engine on one thread;
+//!   answers print to stdout (byte-identical to the server's `POST /batch`),
+//!   the [`EngineStats`] serving report goes to stderr.
+//! * `kreach update <edge-list> <update-workload> [--k K]`
 //!   — serve a *mixed* workload that interleaves query batches with edge
 //!   insertions/removals (`+ u v` / `- u v` lines): the k-reach index is
 //!   maintained incrementally and every applied mutation advances the
 //!   epoch, so every answer reflects all mutations before it.
-//! * `kreach serve <edge-list> --port P [--workers N] [--backend kreach|hk|bfs|dynamic]`
+//! * `kreach serve <edge-list> --port P [--handlers N] [--backend kreach|hk|bfs|dynamic]`
 //!   — serve live network traffic: an HTTP/1.1 + line-protocol front end
 //!   over the batch engine with admission control (`--max-inflight`,
 //!   `--max-body`) and graceful drain (`POST /shutdown`). With
@@ -86,7 +83,6 @@ fn run(args: &[String]) -> Result<String, String> {
         Some("serve") => cmd_serve(&collect_rest(args)),
         Some("checkpoint") => cmd_checkpoint(&collect_rest(args)),
         Some("restore") => cmd_restore(&collect_rest(args)),
-        Some("bench-serve") => cmd_bench_serve(&collect_rest(args)),
         Some("--help") | Some("-h") | None => Ok(usage().to_string()),
         Some(other) => Err(format!("unknown subcommand {other:?}")),
     }
@@ -105,19 +101,17 @@ fn usage() -> &'static str {
      \x20 kreach query <index-file> <edge-list> <s> <t>\n\
      \x20 kreach workload <edge-list> --queries <N> --output <file> [--seed S] [--k K]\n\
      \x20\x20\x20\x20\x20\x20\x20\x20\x20 [--hot N] [--hot-fraction F]\n\
-     \x20 kreach batch <index-file> <edge-list> <queries-file> [--workers N]\n\
+     \x20 kreach batch <index-file> <edge-list> <queries-file>\n\
      \x20\x20\x20\x20\x20\x20\x20\x20\x20 [--default-k K] [--stats-json <file>] [--trace N]\n\
-     \x20 kreach update <edge-list> <update-workload> [--k K] [--workers N]\n\
+     \x20 kreach update <edge-list> <update-workload> [--k K]\n\
      \x20\x20\x20\x20\x20\x20\x20\x20\x20 [--stats-json <file>] [--trace N]\n\
      \x20 kreach serve [<edge-list>] [--port P] [--host H] [--backend kreach|hk|bfs|dynamic]\n\
-     \x20\x20\x20\x20\x20\x20\x20\x20\x20 [--k K] [--h H] [--workers N]\n\
+     \x20\x20\x20\x20\x20\x20\x20\x20\x20 [--k K] [--h H]\n\
      \x20\x20\x20\x20\x20\x20\x20\x20\x20 [--handlers N] [--max-inflight N] [--max-body BYTES] [--trace N]\n\
      \x20\x20\x20\x20\x20\x20\x20\x20\x20 [--slow-query-us US] [--data-dir DIR] [--checkpoint-every SECS]\n\
      \x20\x20\x20\x20\x20\x20\x20\x20\x20 [--stats-interval SECS] [--max-wal-lag N] [--failpoints PLAN]\n\
      \x20 kreach checkpoint --data-dir <dir>\n\
-     \x20 kreach restore --data-dir <dir>\n\
-     \x20 kreach bench-serve [--dataset D] [--scale F] [--k K] [--queries N]\n\
-     \x20\x20\x20\x20\x20\x20\x20\x20\x20 [--workers a,b,..] [--seed S]"
+     \x20 kreach restore --data-dir <dir>"
 }
 
 /// Pulls the value following `flag` out of `args`, if present.
@@ -429,15 +423,11 @@ fn print_slowest_traces(recorder: &Recorder, n: usize) {
 }
 
 fn cmd_batch(args: &[&str]) -> Result<String, String> {
-    ensure_known_flags(
-        args,
-        &["--workers", "--default-k", "--stats-json", "--trace"],
-    )?;
+    ensure_known_flags(args, &["--default-k", "--stats-json", "--trace"])?;
     let pos = positionals(args);
     let [index_path, graph_path, queries_path] = pos.as_slice() else {
         return Err("batch expects <index-file> <edge-list> <queries-file>".to_string());
     };
-    let workers: usize = parse_flag_or(args, "--workers", 0)?;
     let (trace, recorder) = parse_trace(args)?;
     // Resolved before the (possibly long) run so a malformed flag cannot
     // discard a finished batch.
@@ -460,17 +450,14 @@ fn cmd_batch(args: &[&str]) -> Result<String, String> {
 
     let engine = BatchEngine::with_recorder(
         Arc::new(KReachBackend::new(Arc::clone(&g), index)),
-        EngineConfig {
-            workers,
-            ..EngineConfig::default()
-        },
+        EngineConfig::default(),
         recorder.clone(),
     );
     let outcome = engine.run(&batch).map_err(|e| e.to_string())?;
 
-    // Answers to stdout (deterministic: byte-identical for every worker
-    // count, and for the network server's POST /batch — both go through
-    // the shared renderer); the timing-dependent report goes to stderr.
+    // Answers to stdout (deterministic, and byte-identical to the network
+    // server's POST /batch — both go through the shared renderer); the
+    // timing-dependent report goes to stderr.
     let out = kreach::datasets::render_answer_lines(batch.answered(&outcome.answers));
     eprintln!("{}", outcome.stats);
     print_slowest_traces(&recorder, trace);
@@ -481,7 +468,7 @@ fn cmd_batch(args: &[&str]) -> Result<String, String> {
 }
 
 fn cmd_update(args: &[&str]) -> Result<String, String> {
-    ensure_known_flags(args, &["--k", "--workers", "--stats-json", "--trace"])?;
+    ensure_known_flags(args, &["--k", "--stats-json", "--trace"])?;
     let pos = positionals(args);
     let [graph_path, workload_path] = pos.as_slice() else {
         return Err("update expects <edge-list> <update-workload>".to_string());
@@ -490,7 +477,6 @@ fn cmd_update(args: &[&str]) -> Result<String, String> {
     if k == 0 {
         return Err("--k must be at least 1".to_string());
     }
-    let workers: usize = parse_flag_or(args, "--workers", 0)?;
     let (trace, recorder) = parse_trace(args)?;
     let stats_json = flag_value(args, "--stats-json")?;
 
@@ -504,10 +490,7 @@ fn cmd_update(args: &[&str]) -> Result<String, String> {
     ));
     let engine = BatchEngine::with_recorder(
         Arc::clone(&backend) as Arc<dyn kreach::engine::Reachability>,
-        EngineConfig {
-            workers,
-            ..EngineConfig::default()
-        },
+        EngineConfig::default(),
         recorder.clone(),
     );
 
@@ -666,7 +649,6 @@ fn cmd_serve(args: &[&str]) -> Result<String, String> {
             "--backend",
             "--k",
             "--h",
-            "--workers",
             "--handlers",
             "--max-inflight",
             "--max-body",
@@ -732,7 +714,6 @@ fn cmd_serve(args: &[&str]) -> Result<String, String> {
         return Err("--k must be at least 1".to_string());
     }
     let h: u32 = parse_flag_or(args, "--h", 1)?;
-    let workers: usize = parse_flag_or(args, "--workers", 0)?;
     let server_defaults = kreach::server::ServerConfig::default();
     let handlers: usize = parse_flag_or(args, "--handlers", server_defaults.handlers)?;
     let max_inflight: usize = parse_flag_or(args, "--max-inflight", server_defaults.max_inflight)?;
@@ -834,10 +815,7 @@ fn cmd_serve(args: &[&str]) -> Result<String, String> {
     };
     let engine = Arc::new(BatchEngine::with_recorder(
         backend,
-        EngineConfig {
-            workers,
-            ..EngineConfig::default()
-        },
+        EngineConfig::default(),
         recorder.clone(),
     ));
     let mut checkpointer = None;
@@ -930,12 +908,11 @@ fn cmd_serve(args: &[&str]) -> Result<String, String> {
     // Printed before blocking (stdout is line-buffered) so scripts can read
     // the actual port back even with --port 0.
     println!(
-        "kreach-server listening on http://{} · backend {} · k={} · {} engine workers · \
+        "kreach-server listening on http://{} · backend {} · k={} · \
          {} handlers · in-flight budget {} (POST /shutdown to drain)",
         handle.addr(),
         info.backend,
         info.default_k,
-        info.workers,
         handlers,
         max_inflight,
     );
@@ -1069,62 +1046,6 @@ fn cmd_restore(args: &[&str]) -> Result<String, String> {
     ))
 }
 
-fn cmd_bench_serve(args: &[&str]) -> Result<String, String> {
-    ensure_known_flags(
-        args,
-        &[
-            "--dataset",
-            "--scale",
-            "--k",
-            "--queries",
-            "--workers",
-            "--seed",
-        ],
-    )?;
-    if !positionals(args).is_empty() {
-        return Err("bench-serve takes only flags".to_string());
-    }
-    let dataset = flag_value(args, "--dataset")?.unwrap_or("AgroCyc");
-    let spec = spec_by_name(dataset).ok_or_else(|| format!("unknown dataset {dataset:?}"))?;
-    let scale: usize = parse_flag_or(args, "--scale", 20)?;
-    let k: u32 = parse_flag_or(args, "--k", 4)?;
-    let queries: usize = parse_flag_or(args, "--queries", 10_000)?;
-    let seed: u64 = parse_flag_or(args, "--seed", 42)?;
-    let worker_list: Vec<usize> = match flag_value(args, "--workers")? {
-        None => vec![1, 0],
-        Some(list) => list
-            .split(',')
-            .map(|w| parse_number(w.trim(), "--workers entry"))
-            .collect::<Result<_, _>>()?,
-    };
-    if worker_list.is_empty() {
-        return Err("--workers needs at least one entry".to_string());
-    }
-
-    let g = Arc::new(spec.scaled(scale).generate(seed));
-    let runs = kreach::engine::sweep::serve_sweep(&g, k, queries, seed, &worker_list);
-
-    let base_qps = runs[0].stats.queries_per_sec;
-    let speedup = if runs.len() > 1 && base_qps > 0.0 {
-        runs.last().expect("nonempty").stats.queries_per_sec / base_qps
-    } else {
-        1.0
-    };
-    let run_objects: Vec<String> = runs.iter().map(|p| p.stats.to_json()).collect();
-    Ok(format!(
-        "{{\"dataset\":\"{}\",\"scale\":{},\"k\":{},\"vertices\":{},\"edges\":{},\
-         \"queries\":{},\"runs\":[{}],\"speedup\":{:.3}}}\n",
-        spec.name,
-        scale,
-        k,
-        g.vertex_count(),
-        g.edge_count(),
-        queries,
-        run_objects.join(","),
-        speedup
-    ))
-}
-
 fn describe(witness: QueryWitness) -> String {
     match witness {
         QueryWitness::Identity => "source equals target".to_string(),
@@ -1187,13 +1108,29 @@ mod tests {
         assert!(run(&args("generate GO --output x --frobnicate yes")).is_err());
         assert!(run(&args("workload g.txt --output x --banana 3")).is_err());
         assert!(run(&args("batch i g q --turbo on")).is_err());
-        assert!(run(&args("bench-serve --sharding 9")).is_err());
     }
 
     #[test]
     fn build_has_one_index_format() {
         let err = run(&args("build g.txt --k 3 --output x --format v2")).unwrap_err();
         assert!(err.contains("--format") && err.contains("allowed"), "{err}");
+    }
+
+    #[test]
+    fn serving_commands_have_no_worker_count() {
+        for command in [
+            "batch i g q --workers 2",
+            "update g.txt ops.txt --workers 2",
+            "serve g.txt --workers 2",
+        ] {
+            let err = run(&args(command)).unwrap_err();
+            assert!(
+                err.contains("--workers") && err.contains("allowed"),
+                "{err}"
+            );
+        }
+        let err = run(&args("bench-serve --dataset AgroCyc")).unwrap_err();
+        assert!(err.contains("unknown subcommand"), "{err}");
     }
 
     #[test]
@@ -1232,7 +1169,7 @@ mod tests {
     }
 
     #[test]
-    fn end_to_end_workload_and_batch_are_deterministic_across_workers() {
+    fn end_to_end_workload_and_batch_are_deterministic() {
         let dir =
             std::env::temp_dir().join(format!("kreach-cli-batch-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1255,17 +1192,17 @@ mod tests {
         assert!(out.contains("2000 queries"), "{out}");
 
         let serial = run(&args(&format!(
-            "batch {index_arg} {graph_arg} {queries_arg} --workers 1"
+            "batch {index_arg} {graph_arg} {queries_arg}"
         )))
-        .expect("1-worker batch succeeds");
-        let parallel = run(&args(&format!(
-            "batch {index_arg} {graph_arg} {queries_arg} --workers 4"
+        .expect("batch succeeds");
+        let again = run(&args(&format!(
+            "batch {index_arg} {graph_arg} {queries_arg}"
         )))
-        .expect("4-worker batch succeeds");
-        assert_eq!(serial, parallel, "answers must not depend on worker count");
+        .expect("second batch succeeds");
+        assert_eq!(serial, again, "answers must not change between runs");
         // Tracing is an observer: answers stay byte-identical under --trace.
         let traced = run(&args(&format!(
-            "batch {index_arg} {graph_arg} {queries_arg} --workers 4 --trace 3"
+            "batch {index_arg} {graph_arg} {queries_arg} --trace 3"
         )))
         .expect("traced batch succeeds");
         assert_eq!(serial, traced, "tracing must not change answers");
@@ -1306,7 +1243,7 @@ mod tests {
         .expect("skewed workload succeeds");
         assert!(out.contains("16 hot vertices"), "{out}");
         run(&args(&format!(
-            "batch {index_arg} {graph_arg} {queries_arg} --workers 4 --stats-json {stats_arg}"
+            "batch {index_arg} {graph_arg} {queries_arg} --stats-json {stats_arg}"
         )))
         .expect("skewed batch succeeds");
         let stats = std::fs::read_to_string(&stats_arg).unwrap();
@@ -1341,7 +1278,7 @@ mod tests {
         .unwrap();
 
         let out = run(&args(&format!(
-            "update {graph_arg} {ops_arg} --k 2 --workers 2 --stats-json {stats_arg} --trace 2"
+            "update {graph_arg} {ops_arg} --k 2 --stats-json {stats_arg} --trace 2"
         )))
         .expect("update succeeds");
         let lines: Vec<&str> = out.lines().collect();
@@ -1418,7 +1355,7 @@ mod tests {
         for attempt in 0..10u16 {
             let port = base.wrapping_add(attempt * 7).max(1024);
             let command = format!(
-                "serve {graph_arg} --port {port} --backend dynamic --k 2 --workers 1 \
+                "serve {graph_arg} --port {port} --backend dynamic --k 2 \
                  --handlers 2 --max-inflight 8 --trace 2 --slow-query-us 1"
             );
             let thread = std::thread::spawn(move || run(&args(&command)));
@@ -1459,29 +1396,6 @@ mod tests {
         assert!(output.contains("slow queries"), "{output}");
         assert!(!output.contains(" 0 slow queries"), "{output}");
         std::fs::remove_file(dir.join("g.txt")).ok();
-    }
-
-    #[test]
-    fn bench_serve_emits_json_with_runs_and_speedup() {
-        let out = run(&args(
-            "bench-serve --dataset AgroCyc --scale 60 --k 3 --queries 800 --workers 1,2",
-        ))
-        .expect("bench-serve succeeds");
-        for needle in [
-            "\"dataset\":\"AgroCyc\"",
-            "\"runs\":[",
-            "\"queries_per_sec\"",
-            "\"speedup\"",
-        ] {
-            assert!(out.contains(needle), "missing {needle} in {out}");
-        }
-        assert_eq!(
-            out.matches("\"workers\"").count(),
-            2,
-            "two sweep entries: {out}"
-        );
-        assert!(run(&args("bench-serve --dataset NotADataset")).is_err());
-        assert!(run(&args("bench-serve extra-positional")).is_err());
     }
 
     #[test]

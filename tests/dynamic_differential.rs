@@ -14,10 +14,11 @@
 //!    mutation sequence, asserting (a) the maintained graph's edge set is
 //!    exactly the oracle edge set, and (b) incremental == rebuilt == BFS on
 //!    a query sample after every step.
-//! 2. Engine-level replays — the same discipline through [`BatchEngine`]
-//!    at 1 and 8 workers, with batches that span several engine chunks,
-//!    which proves that the grouped dispatch path reads the post-mutation
-//!    index (a stale answer would differ from BFS).
+//! 2. Engine-level replays — the same discipline through [`BatchEngine`],
+//!    with each post-mutation batch run by one caller and by four threads
+//!    at once on one shared engine (the shape the server's handler threads
+//!    produce), which proves that the grouped dispatch path reads the
+//!    post-mutation index (a stale answer would differ from BFS).
 //! 3. Storage-backend equivalence — a property test asserting the frozen
 //!    CSR and the [`VersionedAdjGraph`] `GraphView` implementations answer
 //!    identical adjacency and reachability questions under random mutation
@@ -244,26 +245,36 @@ fn differential_soak_long_sequences() {
     }
 }
 
+/// Runs `batch` on `engine` from `callers` threads at once and returns
+/// every caller's answers.
+fn run_concurrently(engine: &BatchEngine, batch: &QueryBatch, callers: usize) -> Vec<Vec<bool>> {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..callers)
+            .map(|_| scope.spawn(|| engine.run(batch).expect("batch in range").answers))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("caller thread panicked"))
+            .collect()
+    })
+}
+
 /// Engine-level freshness: replaying mutations through [`BatchEngine`] must
 /// stay consistent with BFS over the live snapshot — if a post-mutation
-/// query ever returned a pre-mutation answer, it would diverge.
-fn engine_replay(workers: usize, k: u32, seed: u64, steps: usize) {
+/// query ever returned a pre-mutation answer, it would diverge. Every
+/// post-mutation batch is run by `callers` threads at once.
+fn engine_replay(callers: usize, k: u32, seed: u64, steps: usize) {
     let g0 = GeneratorSpec::ErdosRenyi { n: 24, m: 70 }.generate(seed);
     let mut rng = StdRng::seed_from_u64(seed ^ 0xE1);
     let mut oracle = Oracle::of(&g0);
     let backend = Arc::new(DynamicKReachBackend::new(g0, k, DynamicOptions::default()));
     let engine = BatchEngine::new(
         Arc::clone(&backend) as Arc<dyn kreach_engine::Reachability>,
-        EngineConfig {
-            workers,
-            ..EngineConfig::default()
-        },
+        EngineConfig::default(),
     );
 
     for step in 0..steps {
-        // Answer a fixed probe set before the mutation. It spans several
-        // engine chunks, so at 8 workers the post-mutation batch is
-        // answered by workers concurrently.
+        // Answer a fixed probe set before the mutation.
         let probes = sample_pairs(&mut rng, oracle.n, 600);
         let batch = QueryBatch::new(probes.iter().map(|&(s, t)| Query { s, t, k }).collect());
         engine.run(&batch).expect("probe batch in range");
@@ -274,24 +285,26 @@ fn engine_replay(workers: usize, k: u32, seed: u64, steps: usize) {
             .apply_updates(&[update])
             .expect("dynamic backend applies updates");
 
-        // Post-mutation: the same probes must match BFS on the new graph.
+        // Post-mutation: the same probes must match BFS on the new graph,
+        // for every concurrent caller.
         let oracle_graph = oracle.graph();
-        let outcome = engine.run(&batch).expect("probe batch in range");
-        for (&(s, t), &answer) in probes.iter().zip(outcome.answers.iter()) {
-            assert_eq!(
-                answer,
-                khop_reachable_bfs(&oracle_graph, s, t, k),
-                "step {step}, workers {workers}: stale or wrong answer at k={k} ({s},{t}) after {update}"
-            );
+        for answers in run_concurrently(&engine, &batch, callers) {
+            for (&(s, t), &answer) in probes.iter().zip(answers.iter()) {
+                assert_eq!(
+                    answer,
+                    khop_reachable_bfs(&oracle_graph, s, t, k),
+                    "step {step}, {callers} callers: stale or wrong answer at k={k} ({s},{t}) after {update}"
+                );
+            }
         }
     }
 }
 
 #[test]
-fn engine_replay_is_fresh_at_one_and_eight_workers() {
-    for workers in [1usize, 8] {
+fn engine_replay_is_fresh_at_one_and_four_callers() {
+    for callers in [1usize, 4] {
         for k in [2u32, 3, 5] {
-            engine_replay(workers, k, 42 + k as u64, 40);
+            engine_replay(callers, k, 42 + k as u64, 40);
         }
     }
 }
@@ -433,10 +446,7 @@ fn durability_replay(shape: GeneratorSpec, k: u32, seed: u64, steps: usize) {
     let backend = Arc::new(DynamicKReachBackend::new(g0, k, DynamicOptions::default()));
     let engine = Arc::new(BatchEngine::new(
         Arc::clone(&backend) as Arc<dyn kreach_engine::Reachability>,
-        EngineConfig {
-            workers: 2,
-            ..EngineConfig::default()
-        },
+        EngineConfig::default(),
     ));
     store
         .checkpoint_with(|| engine_snapshot(&engine, &backend))
@@ -551,7 +561,8 @@ proptest! {
 
     // Satellite property: random interleaved insert/remove/query sequences
     // keep the incremental index, a from-scratch rebuild, and the BFS
-    // oracle in agreement for k ∈ {2, 3, 5}, at 1 and 8 engine workers.
+    // oracle in agreement for k ∈ {2, 3, 5}, with every query burst run by
+    // one caller and by four threads at once on one shared engine.
     #[test]
     fn random_interleavings_agree_across_backends_and_workers(
         seed in 0u64..1_000_000,
@@ -559,7 +570,7 @@ proptest! {
     ) {
         let g0 = GeneratorSpec::ErdosRenyi { n: 20, m: 50 }.generate(seed);
         for k in [2u32, 3, 5] {
-            for workers in [1usize, 8] {
+            for workers in [1usize, 4] {
                 let mut oracle = Oracle::of(&g0);
                 let backend = Arc::new(DynamicKReachBackend::new(
                     g0.clone(),
@@ -568,7 +579,7 @@ proptest! {
                 ));
                 let engine = BatchEngine::new(
                     Arc::clone(&backend) as Arc<dyn kreach_engine::Reachability>,
-                    EngineConfig { workers, ..EngineConfig::default() },
+                    EngineConfig::default(),
                 );
                 for &(kind, (a, b)) in &ops {
                     let (s, t) = (VertexId(a), VertexId(b));
@@ -583,7 +594,7 @@ proptest! {
                         }
                         _ => {
                             // A query burst: the probed pair plus its reverse,
-                            // answered through the engine's pool and
+                            // answered by `workers` concurrent callers and
                             // checked against BFS and a fresh rebuild.
                             let oracle_graph = oracle.graph();
                             let rebuilt =
@@ -592,17 +603,18 @@ proptest! {
                                 Query { s, t, k },
                                 Query { s: t, t: s, k },
                             ]);
-                            let outcome = engine.run(&batch).expect("in range");
-                            for (q, &answer) in batch.queries().iter().zip(outcome.answers.iter()) {
-                                let truth = khop_reachable_bfs(&oracle_graph, q.s, q.t, k);
-                                prop_assert_eq!(
-                                    answer, truth,
-                                    "engine vs BFS, k={} workers={} ({},{})", k, workers, q.s, q.t
-                                );
-                                prop_assert_eq!(
-                                    rebuilt.query(&oracle_graph, q.s, q.t), truth,
-                                    "rebuild vs BFS, k={} ({},{})", k, q.s, q.t
-                                );
+                            for answers in run_concurrently(&engine, &batch, workers) {
+                                for (q, &answer) in batch.queries().iter().zip(answers.iter()) {
+                                    let truth = khop_reachable_bfs(&oracle_graph, q.s, q.t, k);
+                                    prop_assert_eq!(
+                                        answer, truth,
+                                        "engine vs BFS, k={} workers={} ({},{})", k, workers, q.s, q.t
+                                    );
+                                    prop_assert_eq!(
+                                        rebuilt.query(&oracle_graph, q.s, q.t), truth,
+                                        "rebuild vs BFS, k={} ({},{})", k, q.s, q.t
+                                    );
+                                }
                             }
                         }
                     }

@@ -195,7 +195,7 @@ proptest! {
             }
         }
         // Repeat the all-pairs list so even the smallest graph sends a batch
-        // that spans several engine chunks (256 queries each).
+        // with long same-target runs.
         let all_pairs = queries.len();
         let batch = QueryBatch::new(queries.into_iter().cycle().take(all_pairs.max(600)).collect());
         let sequential: Vec<bool> =
@@ -204,20 +204,30 @@ proptest! {
             prop_assert_eq!(answer, khop_reachable_bfs(&g, q.s, q.t, q.k), "({},{})", q.s, q.t);
         }
 
-        for workers in [1usize, 2, 8] {
-            let config = EngineConfig { workers, ..EngineConfig::default() };
-            let engine = BatchEngine::new(
-                Arc::new(KReachBackend::new(Arc::clone(&g), index.clone())),
-                config,
-            );
-            let outcome = engine.run(&batch).expect("all queries in range");
-            prop_assert_eq!(&outcome.answers, &sequential, "k-reach backend, {} workers", workers);
-            prop_assert_eq!(outcome.stats.queries, batch.len());
-
-            let bfs_engine =
-                BatchEngine::new(Arc::new(BfsBackend::new(Arc::clone(&g), k)), config);
-            let bfs_outcome = bfs_engine.run(&batch).expect("all queries in range");
-            prop_assert_eq!(&bfs_outcome.answers, &sequential, "bfs backend, {} workers", workers);
+        // The workers are the threads calling one shared engine at once, as
+        // the server's connection handlers do.
+        let engine = BatchEngine::with_defaults(Arc::new(KReachBackend::new(
+            Arc::clone(&g),
+            index.clone(),
+        )));
+        let bfs_engine = BatchEngine::with_defaults(Arc::new(BfsBackend::new(Arc::clone(&g), k)));
+        for workers in [1usize, 2, 4] {
+            let outcomes = std::thread::scope(|scope| {
+                let callers: Vec<_> = (0..workers)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            (engine.run(&batch).expect("all queries in range"),
+                             bfs_engine.run(&batch).expect("all queries in range"))
+                        })
+                    })
+                    .collect();
+                callers.into_iter().map(|c| c.join().expect("caller thread panicked")).collect::<Vec<_>>()
+            });
+            for (outcome, bfs_outcome) in &outcomes {
+                prop_assert_eq!(&outcome.answers, &sequential, "k-reach backend, {} workers", workers);
+                prop_assert_eq!(outcome.stats.queries, batch.len());
+                prop_assert_eq!(&bfs_outcome.answers, &sequential, "bfs backend, {} workers", workers);
+            }
         }
     }
 

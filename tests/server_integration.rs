@@ -44,10 +44,7 @@ fn dynamic_server(handlers: usize, max_inflight: usize) -> ServerHandle {
             K,
             DynamicOptions::default(),
         )),
-        EngineConfig {
-            workers: 2,
-            ..EngineConfig::default()
-        },
+        EngineConfig::default(),
     ));
     start(
         engine,
@@ -220,10 +217,7 @@ fn batch_endpoint_is_byte_identical_to_the_offline_path() {
     let index = KReachIndex::build(g.as_ref(), K, BuildOptions::default());
     let engine = Arc::new(BatchEngine::new(
         Arc::new(KReachBackend::new(Arc::clone(&g), index)),
-        EngineConfig {
-            workers: 2,
-            ..EngineConfig::default()
-        },
+        EngineConfig::default(),
     ));
     let server = start(engine, ServerConfig::default()).expect("bind");
 
@@ -278,10 +272,7 @@ fn wire_protocol_abuse_is_survivable() {
             K,
             DynamicOptions::default(),
         )),
-        EngineConfig {
-            workers: 1,
-            ..EngineConfig::default()
-        },
+        EngineConfig::default(),
     ));
     let server = start(
         engine,
